@@ -1,8 +1,10 @@
-// E-BNB — branch-and-bound exact solver vs n! enumeration.
+// E-BNB — the exact solver `optimal` (branch-and-bound at every n) vs the
+// n! enumeration oracle of the test suite (tests/oracle/enumeration.hpp).
 //
-// Three sections:
-//   1. head-to-head at enumeration-feasible sizes (n = 6, 7): same optimum,
-//      wall time and order-LP evaluation counts side by side;
+// Four sections:
+//   1. head-to-head at oracle-feasible sizes (n = 6, 7): the same objective
+//      bits, wall time side by side, and B&B's exact work counters (nodes,
+//      LP evaluations, simplex pivots) against the oracle's n! LPs;
 //   2. branch-and-bound scaling n = 8..12 across generator families —
 //      where enumeration would need n! LP solves (40320 .. 479M), the
 //      search reports its actual node/LP counts and the n!/LP ratio;
@@ -15,6 +17,12 @@
 //      nodes with cuts on (measured ~97x) and bit-equal objectives — the
 //      acceptance bar of the exchange-cut PR, replayed on every build.
 //
+// `--quick` (the CI smoke) runs sections 1, 3 and 4.  It fails when an
+// objective loses bit parity with the oracle, a gate above fails, the n = 7
+// speed-up over the oracle drops below a loose 10x floor, or any exact
+// work counter rises above its pinned value (kCounterPins; checked at the
+// default scale and seed only, where the instances are the pinned ones).
+//
 // Results land in BENCH_bnb.json (see bench_common.hpp) so the perf
 // trajectory of the exact-serving path is machine-readable.
 
@@ -25,21 +33,126 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "malsched/core/bnb.hpp"
 #include "malsched/core/generators.hpp"
-#include "malsched/core/optimal.hpp"
+#include "malsched/core/order_lp.hpp"
 #include "malsched/support/stats.hpp"
 #include "malsched/support/table.hpp"
+#include "oracle/enumeration.hpp"
 
 using namespace malsched;
 
 namespace {
 
 constexpr std::uint64_t kPinnedSeed = 42;  // the CI fixture below
+
+/// Exact work counters at the default scale and seed (Release, x86-64).
+/// They are deterministic, so `--quick` fails when any of them rises: a
+/// change that makes the search or the simplex do more work must re-pin
+/// them here on purpose.  Head-to-head counters are sums over the
+/// scenario's instances.
+struct CounterPin {
+  const char* scenario;
+  const char* metric;
+  double ceiling;
+};
+constexpr CounterPin kCounterPins[] = {
+    {"head_to_head_uniform_n6", "nodes", 158},
+    {"head_to_head_uniform_n6", "lp_evaluations", 182},
+    {"head_to_head_uniform_n6", "pivots", 1348},
+    {"head_to_head_uniform_n7", "nodes", 362},
+    {"head_to_head_uniform_n7", "lp_evaluations", 373},
+    {"head_to_head_uniform_n7", "pivots", 1719},
+    {"head_to_head_equal-weights_n6", "nodes", 458},
+    {"head_to_head_equal-weights_n6", "lp_evaluations", 480},
+    {"head_to_head_equal-weights_n6", "pivots", 2171},
+    {"head_to_head_equal-weights_n7", "nodes", 709},
+    {"head_to_head_equal-weights_n7", "lp_evaluations", 717},
+    {"head_to_head_equal-weights_n7", "pivots", 2689},
+    {"head_to_head_wide-tasks_n6", "nodes", 409},
+    {"head_to_head_wide-tasks_n6", "lp_evaluations", 425},
+    {"head_to_head_wide-tasks_n6", "pivots", 1002},
+    {"head_to_head_wide-tasks_n7", "nodes", 2297},
+    {"head_to_head_wide-tasks_n7", "lp_evaluations", 2304},
+    {"head_to_head_wide-tasks_n7", "pivots", 3573},
+    {"head_to_head_unit-width_n6", "nodes", 149},
+    {"head_to_head_unit-width_n6", "lp_evaluations", 172},
+    {"head_to_head_unit-width_n6", "pivots", 1618},
+    {"head_to_head_unit-width_n7", "nodes", 571},
+    {"head_to_head_unit-width_n7", "lp_evaluations", 580},
+    {"head_to_head_unit-width_n7", "pivots", 4432},
+    {"scaling_uniform_n8", "nodes", 306},
+    {"scaling_uniform_n8", "lp_evaluations", 312},
+    {"scaling_uniform_n8", "pivots", 1673},
+    {"scaling_uniform_n9", "nodes", 1265},
+    {"scaling_uniform_n9", "lp_evaluations", 1270},
+    {"scaling_uniform_n9", "pivots", 6467},
+    {"scaling_uniform_n10", "nodes", 2627},
+    {"scaling_uniform_n10", "lp_evaluations", 2633},
+    {"scaling_uniform_n10", "pivots", 15826},
+    {"scaling_uniform_n11", "nodes", 4045},
+    {"scaling_uniform_n11", "lp_evaluations", 4051},
+    {"scaling_uniform_n11", "pivots", 23403},
+    {"scaling_uniform_n12", "nodes", 15929},
+    {"scaling_uniform_n12", "lp_evaluations", 15935},
+    {"scaling_uniform_n12", "pivots", 113058},
+    {"scaling_equal-weights_n10", "nodes", 13187},
+    {"scaling_equal-weights_n10", "lp_evaluations", 13192},
+    {"scaling_equal-weights_n10", "pivots", 125456},
+    {"scaling_heavy-tail-volumes_n10", "nodes", 6169},
+    {"scaling_heavy-tail-volumes_n10", "lp_evaluations", 6175},
+    {"scaling_heavy-tail-volumes_n10", "pivots", 30579},
+    {"pinned_uniform_n12", "nodes", 15929},
+    {"pinned_uniform_n12", "lp_evaluations", 15935},
+    {"pinned_uniform_n12", "pivots", 113058},
+    {"structured_cuts_n12", "cuts_on_nodes", 286},
+    {"structured_cuts_n12", "cuts_on_lp_evaluations", 292},
+    {"structured_cuts_n12", "cuts_on_pivots", 1834},
+    {"structured_cuts_n12", "cuts_off_nodes", 27745},
+    {"structured_cuts_n12", "cuts_off_lp_evaluations", 27751},
+    {"structured_cuts_n12", "cuts_off_pivots", 122625},
+};
+
+/// BenchJson plus a copy of every exact counter, for the pin check.
+struct Ledger {
+  bench::BenchJson json;
+  std::map<std::string, double> counters;  ///< "scenario/metric" -> value
+
+  void counter(const std::string& scenario, const std::string& metric,
+               double value) {
+    json.add(scenario, metric, value);
+    counters[scenario + "/" + metric] = value;
+  }
+};
+
+/// 0 when no pinned counter rose; prints every counter that did.
+int check_counter_pins(const bench::BenchConfig& config, const Ledger& ledger) {
+  if (config.scale != 1.0 || config.seed != bench::BenchConfig{}.seed) {
+    std::printf("counter pins: skipped (non-default scale or seed)\n\n");
+    return 0;
+  }
+  int risen = 0;
+  for (const CounterPin& pin : kCounterPins) {
+    const auto it =
+        ledger.counters.find(std::string(pin.scenario) + "/" + pin.metric);
+    if (it == ledger.counters.end()) {
+      continue;  // section not run in this mode
+    }
+    if (it->second > pin.ceiling) {
+      std::printf("counter pin FAIL: %s %s = %.0f > pinned %.0f\n",
+                  pin.scenario, pin.metric, it->second, pin.ceiling);
+      ++risen;
+    }
+  }
+  std::printf("counter pins (nodes, LP evaluations, pivots never rise): %s\n\n",
+              risen == 0 ? "PASS" : "FAIL");
+  return risen == 0 ? 0 : 1;
+}
 
 core::Instance pinned_instance(std::size_t n, core::Family family,
                                std::uint64_t seed) {
@@ -68,73 +181,103 @@ double wall_seconds(Fn&& fn) {
       .count();
 }
 
-void run_head_to_head(const bench::BenchConfig& config, bench::BenchJson& json) {
-  std::printf("1. head-to-head vs enumeration (optimum must match):\n");
+/// Section 1.  Returns nonzero when an objective loses bit parity with the
+/// oracle or the n = 7 speed-up falls below its loose floor.
+int run_head_to_head(const bench::BenchConfig& config, Ledger& ledger) {
+  std::printf("1. optimal (B&B) vs the n! oracle (objectives must be bit-equal):\n");
   support::TextTable table({{"family", support::Align::Left},
                             {"n", support::Align::Right},
                             {"instances", support::Align::Right},
-                            {"enum ms", support::Align::Right},
+                            {"oracle ms", support::Align::Right},
                             {"b&b ms", support::Align::Right},
-                            {"enum LPs", support::Align::Right},
+                            {"oracle LPs", support::Align::Right},
                             {"b&b LPs", support::Align::Right},
-                            {"max |gap|", support::Align::Right}});
+                            {"b&b pivots", support::Align::Right},
+                            {"mismatch", support::Align::Right}});
   const core::Family families[] = {core::Family::Uniform,
                                    core::Family::EqualWeights,
                                    core::Family::WideTasks,
                                    core::Family::UnitWidth};
+  double oracle_n7_seconds = 0.0;
+  double bnb_n7_seconds = 0.0;
+  std::size_t mismatches = 0;
   for (const core::Family family : families) {
     for (const std::size_t n : {std::size_t{6}, std::size_t{7}}) {
       const std::size_t instances = bench::scaled(n == 6 ? 5 : 2, config.scale);
       support::Rng rng(config.seed + n);
-      support::Sample enum_ms;
+      support::Sample oracle_ms;
       support::Sample bnb_ms;
-      double enum_lps = 0.0;
+      double oracle_lps = 0.0;
+      double nodes = 0.0;
       double bnb_lps = 0.0;
-      double max_gap = 0.0;
+      double pivots = 0.0;
+      std::size_t scenario_mismatches = 0;
       for (std::size_t rep = 0; rep < instances; ++rep) {
         core::GeneratorConfig generator;
         generator.family = family;
         generator.num_tasks = n;
         generator.processors = 4.0;
         const auto inst = core::generate(generator, rng);
-        core::OptimalResult enumerated;
-        enum_ms.add(1e3 * wall_seconds([&] {
-                      core::OptimalOptions options;
-                      options.enumeration_crossover = n;  // force the n! path
-                      enumerated = core::optimal_by_enumeration(inst, options);
-                    }));
+        testing::EnumerationResult oracle;
+        const double oracle_seconds =
+            wall_seconds([&] { oracle = testing::enumerate_optimal(inst); });
+        // B&B takes milliseconds here: the median of five runs steadies it.
         core::BnbResult bnb;
-        bnb_ms.add(1e3 * wall_seconds([&] { bnb = core::branch_and_bound(inst); }));
-        enum_lps += static_cast<double>(enumerated.orders_tried);
+        support::Sample runs;
+        for (int run = 0; run < 5; ++run) {
+          runs.add(wall_seconds([&] { bnb = core::branch_and_bound(inst); }));
+        }
+        const double bnb_seconds = runs.median();
+        oracle_ms.add(1e3 * oracle_seconds);
+        bnb_ms.add(1e3 * bnb_seconds);
+        if (n == 7) {
+          oracle_n7_seconds += oracle_seconds;
+          bnb_n7_seconds += bnb_seconds;
+        }
+        oracle_lps += static_cast<double>(oracle.orders_tried);
+        nodes += static_cast<double>(bnb.stats.nodes);
         bnb_lps += static_cast<double>(bnb.stats.lp_evaluations);
-        max_gap = std::max(max_gap,
-                           std::abs(bnb.objective - enumerated.objective) /
-                               std::max(1.0, enumerated.objective));
+        pivots += static_cast<double>(bnb.stats.pivots);
+        if (bnb.objective != oracle.objective) {
+          ++scenario_mismatches;
+        }
       }
+      mismatches += scenario_mismatches;
       table.add_row({core::family_name(family), support::fmt_int(static_cast<long long>(n)),
                      support::fmt_int(static_cast<long long>(instances)),
-                     support::fmt_double(enum_ms.mean()),
+                     support::fmt_double(oracle_ms.mean()),
                      support::fmt_double(bnb_ms.mean()),
-                     support::fmt_double(enum_lps / static_cast<double>(instances)),
-                     support::fmt_double(bnb_lps / static_cast<double>(instances)),
-                     support::fmt_ratio(max_gap, 9)});
+                     support::fmt_int(static_cast<long long>(oracle_lps)),
+                     support::fmt_int(static_cast<long long>(bnb_lps)),
+                     support::fmt_int(static_cast<long long>(pivots)),
+                     support::fmt_int(static_cast<long long>(scenario_mismatches))});
       const std::string scenario = std::string("head_to_head_") +
                                    core::family_name(family) + "_n" +
                                    std::to_string(n);
-      json.add(scenario, "enum_wall_ns_p50", enum_ms.quantile(0.5) * 1e6);
-      json.add(scenario, "bnb_wall_ns_p50", bnb_ms.quantile(0.5) * 1e6);
-      json.add(scenario, "bnb_wall_ns_p95", bnb_ms.quantile(0.95) * 1e6);
-      json.add(scenario, "enum_lp_evaluations",
-               enum_lps / static_cast<double>(instances));
-      json.add(scenario, "bnb_lp_evaluations",
-               bnb_lps / static_cast<double>(instances));
-      json.add(scenario, "max_relative_gap", max_gap);
+      ledger.json.add(scenario, "oracle_wall_ns_p50", oracle_ms.quantile(0.5) * 1e6);
+      ledger.json.add(scenario, "bnb_wall_ns_p50", bnb_ms.quantile(0.5) * 1e6);
+      ledger.json.add(scenario, "bnb_wall_ns_p95", bnb_ms.quantile(0.95) * 1e6);
+      ledger.json.add(scenario, "oracle_lp_evaluations", oracle_lps);
+      ledger.counter(scenario, "nodes", nodes);
+      ledger.counter(scenario, "lp_evaluations", bnb_lps);
+      ledger.counter(scenario, "pivots", pivots);
+      ledger.json.add(scenario, "objective_mismatches",
+                      static_cast<double>(scenario_mismatches));
     }
   }
-  std::printf("%s\n", table.to_string().c_str());
+  std::printf("%s", table.to_string().c_str());
+  const double speedup = oracle_n7_seconds / std::max(bnb_n7_seconds, 1e-12);
+  ledger.json.add("head_to_head_n7", "speedup_over_oracle", speedup);
+  const bool parity_ok = mismatches == 0;
+  const bool speedup_ok = speedup >= 10.0;
+  std::printf("n = 7: optimal %.0fx faster than the oracle (target >= 50x, "
+              "floor 10x): %s;  bit parity: %s\n\n",
+              speedup, speedup_ok ? "PASS" : "FAIL",
+              parity_ok ? "PASS" : "FAIL");
+  return parity_ok && speedup_ok ? 0 : 1;
 }
 
-void run_scaling(const bench::BenchConfig& config, bench::BenchJson& json) {
+void run_scaling(const bench::BenchConfig& config, Ledger& ledger) {
   std::printf("2. branch-and-bound scaling (enumeration would need n! LPs):\n");
   support::TextTable table({{"family", support::Align::Left},
                             {"n", support::Align::Right},
@@ -142,6 +285,7 @@ void run_scaling(const bench::BenchConfig& config, bench::BenchJson& json) {
                             {"nodes", support::Align::Right},
                             {"leaves", support::Align::Right},
                             {"LP evals", support::Align::Right},
+                            {"pivots", support::Align::Right},
                             {"n!/LPs", support::Align::Right}});
   const core::Family families[] = {core::Family::Uniform,
                                    core::Family::EqualWeights,
@@ -168,17 +312,19 @@ void run_scaling(const bench::BenchConfig& config, bench::BenchJson& json) {
                      support::fmt_int(static_cast<long long>(result.stats.leaves)),
                      support::fmt_int(
                          static_cast<long long>(result.stats.lp_evaluations)),
+                     support::fmt_int(static_cast<long long>(result.stats.pivots)),
                      support::fmt_double(ratio)});
       const std::string scenario = std::string("scaling_") +
                                    core::family_name(family) + "_n" +
                                    std::to_string(n);
-      json.add(scenario, "wall_ns", seconds * 1e9);
-      json.add(scenario, "nodes", static_cast<double>(result.stats.nodes));
-      json.add(scenario, "leaves", static_cast<double>(result.stats.leaves));
-      json.add(scenario, "lp_evaluations",
-               static_cast<double>(result.stats.lp_evaluations));
-      json.add(scenario, "factorial_over_lp", ratio);
-      json.add(scenario, "objective", result.objective);
+      ledger.json.add(scenario, "wall_ns", seconds * 1e9);
+      ledger.counter(scenario, "nodes", static_cast<double>(result.stats.nodes));
+      ledger.json.add(scenario, "leaves", static_cast<double>(result.stats.leaves));
+      ledger.counter(scenario, "lp_evaluations",
+                     static_cast<double>(result.stats.lp_evaluations));
+      ledger.counter(scenario, "pivots", static_cast<double>(result.stats.pivots));
+      ledger.json.add(scenario, "factorial_over_lp", ratio);
+      ledger.json.add(scenario, "objective", result.objective);
     }
   }
   std::printf("%s", table.to_string().c_str());
@@ -193,7 +339,7 @@ void run_scaling(const bench::BenchConfig& config, bench::BenchJson& json) {
 /// once the tail-cut work landed: the fixture measures ~3.4 s RelWithDebInfo
 /// on a 1-core container, so 30 s still leaves ~9x machine slack while
 /// halving how much regression can hide under the gate.
-int measure_pinned(bench::BenchJson& json) {
+int measure_pinned(Ledger& ledger) {
   double ceiling_seconds = 30.0;
   if (const char* env = std::getenv("MALSCHED_BNB_CEILING_SECONDS")) {
     ceiling_seconds = std::atof(env);
@@ -205,20 +351,29 @@ int measure_pinned(bench::BenchJson& json) {
   const double ratio =
       factorial(12) / static_cast<double>(result.stats.lp_evaluations);
 
+  auto& json = ledger.json;
   json.add("pinned_uniform_n12", "wall_ns", seconds * 1e9);
-  json.add("pinned_uniform_n12", "nodes", static_cast<double>(result.stats.nodes));
+  ledger.counter("pinned_uniform_n12", "nodes",
+                 static_cast<double>(result.stats.nodes));
   json.add("pinned_uniform_n12", "leaves",
            static_cast<double>(result.stats.leaves));
-  json.add("pinned_uniform_n12", "lp_evaluations",
-           static_cast<double>(result.stats.lp_evaluations));
+  ledger.counter("pinned_uniform_n12", "lp_evaluations",
+                 static_cast<double>(result.stats.lp_evaluations));
+  ledger.counter("pinned_uniform_n12", "pivots",
+                 static_cast<double>(result.stats.pivots));
+  json.add("pinned_uniform_n12", "us_per_node",
+           seconds * 1e6 / static_cast<double>(std::max<std::size_t>(
+                               1, result.stats.nodes)));
   json.add("pinned_uniform_n12", "factorial_over_lp", ratio);
   json.add("pinned_uniform_n12", "objective", result.objective);
   json.add("pinned_uniform_n12", "ceiling_seconds", ceiling_seconds);
 
   std::printf("pinned uniform n=12 (seed %llu): objective %.6f in %.2fs — "
-              "%zu nodes, %zu LP evals (n!/LPs = %.0fx, bar >= 100x)\n",
+              "%zu nodes, %zu LP evals, %zu pivots (n!/LPs = %.0fx, bar >= "
+              "100x)\n",
               static_cast<unsigned long long>(kPinnedSeed), result.objective,
-              seconds, result.stats.nodes, result.stats.lp_evaluations, ratio);
+              seconds, result.stats.nodes, result.stats.lp_evaluations,
+              result.stats.pivots, ratio);
   const bool time_ok = seconds <= ceiling_seconds;
   const bool ratio_ok = ratio >= 100.0;
   std::printf("ceiling %.0fs: %s;  LP-reduction bar: %s\n\n", ceiling_seconds,
@@ -243,7 +398,7 @@ core::Instance structured_batch_instance() {
 
 /// CI gate for the tail cuts: cuts-on must keep a >= 5x node advantage on
 /// the structured fixture and return the bit-identical objective.
-int measure_structured_cuts(bench::BenchJson& json) {
+int measure_structured_cuts(Ledger& ledger) {
   const auto inst = structured_batch_instance();
   core::BnbOptions off;
   off.use_cuts = false;
@@ -257,12 +412,19 @@ int measure_structured_cuts(bench::BenchJson& json) {
   const double node_ratio = static_cast<double>(without.stats.nodes) /
                             static_cast<double>(std::max<std::size_t>(
                                 1, with.stats.nodes));
+  auto& json = ledger.json;
   json.add("structured_cuts_n12", "cuts_on_wall_ns", on_seconds * 1e9);
   json.add("structured_cuts_n12", "cuts_off_wall_ns", off_seconds * 1e9);
-  json.add("structured_cuts_n12", "cuts_on_nodes",
-           static_cast<double>(with.stats.nodes));
-  json.add("structured_cuts_n12", "cuts_off_nodes",
-           static_cast<double>(without.stats.nodes));
+  for (const auto& [prefix, stats] :
+       {std::pair{"cuts_on_", &with.stats}, std::pair{"cuts_off_", &without.stats}}) {
+    const std::string p(prefix);
+    ledger.counter("structured_cuts_n12", p + "nodes",
+                   static_cast<double>(stats->nodes));
+    ledger.counter("structured_cuts_n12", p + "lp_evaluations",
+                   static_cast<double>(stats->lp_evaluations));
+    ledger.counter("structured_cuts_n12", p + "pivots",
+                   static_cast<double>(stats->pivots));
+  }
   json.add("structured_cuts_n12", "node_ratio", node_ratio);
   json.add("structured_cuts_n12", "cut_prunes",
            static_cast<double>(with.stats.pruned_by_cut));
@@ -306,32 +468,32 @@ BENCHMARK(bm_order_lp_evaluator_push_pop)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
   const auto config = bench::parse_config(argc, argv);
+  bool quick = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      bench::print_banner("E-BNB (quick)",
-                          "pinned n=12 ceiling + tail-cut gate", config);
-      bench::BenchJson json("bnb", config);
-      const int status = measure_pinned(json);
-      const int cut_status = measure_structured_cuts(json);
-      json.write();
-      return status != 0 ? status : cut_status;
-    }
+    quick = quick || std::strcmp(argv[i], "--quick") == 0;
   }
-
-  bench::print_banner("E-BNB", "branch-and-bound exact solver vs enumeration",
-                      config);
-  bench::BenchJson json("bnb", config);
-  run_head_to_head(config, json);
-  run_scaling(config, json);
-  int quick_status = measure_pinned(json);  // the pinned CI row
-  const int cut_status = measure_structured_cuts(json);
-  if (quick_status == 0) {
-    quick_status = cut_status;
+  if (quick) {
+    bench::print_banner("E-BNB (quick)",
+                        "oracle head-to-head + pinned n=12 ceiling + tail-cut "
+                        "gate + counter pins",
+                        config);
+  } else {
+    bench::print_banner("E-BNB", "optimal (branch-and-bound) vs the n! oracle",
+                        config);
   }
-  json.write();
-  if (config.timing) {
+  Ledger ledger{bench::BenchJson("bnb", config), {}};
+  int status = run_head_to_head(config, ledger);
+  if (!quick) {
+    run_scaling(config, ledger);
+  }
+  for (const int gate : {measure_pinned(ledger), measure_structured_cuts(ledger),
+                         check_counter_pins(config, ledger)}) {
+    status = status != 0 ? status : gate;
+  }
+  ledger.json.write();
+  if (!quick && config.timing) {
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
   }
-  return quick_status;
+  return status;
 }

@@ -3,15 +3,16 @@
 /// \file bnb.hpp
 /// Exact optimum of MWCT-CB-F by branch-and-bound over completion orders.
 ///
-/// Corollary 1 reduces the problem to choosing the best completion order;
-/// `optimal_by_enumeration` walks all n! orders and is hard-capped at tiny
-/// n.  This module searches the same space as a depth-first tree over order
-/// *prefixes* and prunes it three ways:
+/// Corollary 1 reduces the problem to choosing the best completion order.
+/// This module, which `optimal_by_enumeration` runs at every n (the n! walk
+/// survives only as a test oracle), searches that space as a depth-first
+/// tree over order *prefixes* and prunes it several ways:
 ///
 /// * Incremental evaluation — an OrderLpEvaluator solves one prefix-sized
 ///   order LP per node (the prefix objective is an exact lower bound on what
 ///   those tasks contribute to any completion of the prefix), instead of one
-///   full-n LP per leaf.
+///   full-n LP per leaf.  A leaf re-solves from scratch only when its warm
+///   value could beat the incumbent, so incumbents stay bit-reproducible.
 /// * Admissible bounds — a node's value is bounded below by
 ///     prefix LP  +  max(offset squashed area, per-task height)
 ///   over the remaining tasks, where the offset area is
@@ -110,7 +111,11 @@ struct BnbOptions {
 struct BnbStats {
   std::size_t nodes = 0;             ///< prefixes expanded (LP-evaluated)
   std::size_t leaves = 0;            ///< complete orders evaluated
-  std::size_t lp_evaluations = 0;    ///< order-LP solves, seeds included
+  /// Order LPs evaluated: one per node (warm-started) and per seed, plus
+  /// the want_schedule solve.
+  std::size_t lp_evaluations = 0;
+  /// Simplex pivots of all the search's solves (not want_schedule's).
+  std::size_t pivots = 0;
   std::size_t pruned_by_bound = 0;   ///< subtrees cut by the subset-DP bound
   std::size_t pruned_by_cut = 0;     ///< subtrees cut by the tail cuts:
                                      ///< busy-time inequality prunes (only
@@ -130,8 +135,8 @@ struct BnbResult {
 };
 
 /// Exact optimum over all completion orders by branch-and-bound.  Matches
-/// `optimal_by_enumeration` to within `bound_slack` (relative) on every
-/// instance.
+/// the n! enumeration to within `bound_slack` (relative) on every instance;
+/// the test suite pins bit-equal objectives against it for n <= 7.
 [[nodiscard]] BnbResult branch_and_bound(const Instance& instance,
                                          const BnbOptions& options = {});
 

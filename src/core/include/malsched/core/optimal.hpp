@@ -2,12 +2,12 @@
 
 /// \file optimal.hpp
 /// Exact optimum of MWCT-CB-F: Corollary 1 reduces the problem to choosing
-/// the best completion order.  For tiny n we solve the order LP for every
-/// permutation (deterministic, bit-reproducible run to run — the ground
-/// truth against which WDEQ's ratio, greedy's conjectured optimality
-/// (Conjecture 12) and Theorem 11 are checked); above the crossover the
-/// call delegates to the branch-and-bound of bnb.hpp, which searches the
-/// same space with pruning and opens n ≈ 15 to exact serving.
+/// the best completion order, and the branch-and-bound of bnb.hpp searches
+/// that space exactly at every n.  This facade keeps the historical name
+/// and result shape; the plain n! loop over all orders survives only as
+/// the test-suite oracle (tests/oracle/enumeration.hpp), which the
+/// branch-and-bound matches bit for bit on the objective (and on the order
+/// wherever the optimal order is unique).
 
 #include <vector>
 
@@ -19,20 +19,13 @@ namespace malsched::core {
 
 struct OptimalOptions {
   /// Hard guard — branch-and-bound is worst-case exponential; 18 stays
-  /// interactive single-thread now that the mean-busy-time cuts trim the
-  /// structured-family tails (the n ≤ 9 limit of the pure-enumeration era
-  /// and the n ≤ 15 limit of the DP-bound era are both gone).
+  /// interactive single-thread with the mean-busy-time cuts.
   std::size_t max_tasks = 18;
   /// Also build the optimal schedule (slightly slower).
   bool want_schedule = false;
-  /// n <= crossover runs the plain n! enumeration; larger instances run
-  /// branch_and_bound.  Both are exact — the crossover only trades the
-  /// enumeration's run-to-run bit-reproducibility for pruning.
-  std::size_t enumeration_crossover = 7;
-  /// Cooperative cancellation.  The enumeration polls every 64 permutations
-  /// (amortizing the clock read when a deadline is attached); the
-  /// branch-and-bound polls at every node.  A cancelled result carries
-  /// `cancelled = true` and the best order seen so far.
+  /// Cooperative cancellation, polled at every branch-and-bound node.  A
+  /// cancelled result carries `cancelled = true` and the best order seen
+  /// so far.
   CancelToken cancel;
 };
 
@@ -40,16 +33,14 @@ struct OptimalResult {
   double objective = 0.0;
   std::vector<std::size_t> order;    ///< the optimal completion order
   ColumnSchedule schedule;           ///< populated if want_schedule
-  /// Complete orders whose LP was evaluated: n! below the crossover, the
-  /// branch-and-bound leaf count above it.
+  /// Complete orders the search reached (the branch-and-bound leaf count).
   std::size_t orders_tried = 0;
   /// True when OptimalOptions::cancel fired mid-search; objective/order are
   /// then the best seen so far, not the proven optimum.
   bool cancelled = false;
 };
 
-/// Exact optimum over all completion orders (enumeration below the
-/// crossover, branch-and-bound above).
+/// Exact optimum over all completion orders, by branch-and-bound.
 [[nodiscard]] OptimalResult optimal_by_enumeration(
     const Instance& instance, const OptimalOptions& options = {});
 

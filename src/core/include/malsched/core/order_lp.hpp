@@ -71,9 +71,10 @@ class IncrementalOrderLp;
 /// * the parent's *optimal simplex basis* — a push appends the new
 ///   position's columns and rows to the parent tableau (the new volume
 ///   variables' reduced columns are exactly the stored slack columns of the
-///   old capacity rows, so no basis-inverse solve is needed), repairs
-///   primal feasibility for the one new volume row, and re-optimizes in a
-///   handful of pivots instead of a from-scratch two-phase solve;
+///   old capacity rows, so no basis-inverse solve is needed), starts from
+///   the feasible basis that appends the new task after the prefix, and
+///   re-optimizes in a handful of phase-2 pivots instead of a from-scratch
+///   two-phase solve;
 /// * the greedy capacity-profile state (Algorithm 3's water-level profile)
 ///   — `greedy_completion` probes where a candidate task would finish
 ///   against the current prefix without any LP work, which the search uses
@@ -91,13 +92,20 @@ class OrderLpEvaluator {
   OrderLpEvaluator& operator=(OrderLpEvaluator&&) noexcept;
 
   /// Appends `task` (not already in the prefix) and returns the order LP
-  /// objective of the extended prefix.  exact = false (the branch-and-bound
-  /// interior default) returns the warm-started incremental value; exact
-  /// additionally re-solves from scratch and returns that bit-reproducible
-  /// value (used at leaves).
+  /// objective of the extended prefix.  exact = false (what
+  /// branch-and-bound uses) returns the warm-started incremental value;
+  /// exact = true then also calls resolve() and returns its value.
   double push(std::size_t task, bool exact = true);
   /// Removes the most recently pushed task.
   void pop();
+  /// Re-solves the current prefix from scratch and makes that
+  /// bit-reproducible value (what `order_lp_objective` returns) its
+  /// objective().  Not counted in lp_evaluations() (the prefix was already
+  /// evaluated), but its pivots are.
+  double resolve();
+  /// From-scratch objective of any order or prefix, independent of the
+  /// pushed prefix; counted in lp_evaluations() and pivots().
+  double evaluate(std::span<const std::size_t> order);
 
   [[nodiscard]] std::size_t depth() const noexcept { return prefix_.size(); }
   /// Prefix order LP objective (0 at depth 0).
@@ -105,20 +113,19 @@ class OrderLpEvaluator {
   [[nodiscard]] std::span<const std::size_t> prefix() const noexcept {
     return prefix_;
   }
-  /// Σ V_i over the prefix — the suffix-bound offset.
-  [[nodiscard]] double prefix_volume() const noexcept;
   /// Completion `task` would get placed greedily after the prefix (no LP).
   [[nodiscard]] double greedy_completion(std::size_t task) const;
   /// Number of LP solves performed so far (incremental or from scratch).
   [[nodiscard]] std::size_t lp_evaluations() const noexcept {
     return lp_evaluations_;
   }
+  /// Simplex pivots over every solve so far (warm and from scratch).
+  [[nodiscard]] std::size_t pivots() const noexcept;
 
  private:
   const Instance* instance_;
   std::vector<std::size_t> prefix_;
   std::vector<double> objectives_;        ///< objectives_[d]: depth d+1 value
-  std::vector<double> volumes_;           ///< cumulative volume per depth
   std::vector<CapacityProfile> profiles_; ///< profiles_[d]: after d tasks
   std::unique_ptr<detail::IncrementalOrderLp> lp_;
   std::size_t lp_evaluations_ = 0;

@@ -139,6 +139,7 @@ class Searcher {
     result.objective = incumbent_;
     result.order = std::move(best_order_);
     stats_.lp_evaluations += evaluator_.lp_evaluations();
+    stats_.pivots = evaluator_.pivots();
     if (options_.want_schedule) {
       auto solved = solve_order_lp(instance_, result.order);
       ++stats_.lp_evaluations;
@@ -155,8 +156,12 @@ class Searcher {
   }
 
   void consider_seed(std::vector<std::size_t> order) {
-    ++stats_.lp_evaluations;
-    const double objective = order_lp_objective(instance_, order);
+    // The priority orders and greedy completion orders often coincide.
+    if (std::find(seeds_.begin(), seeds_.end(), order) != seeds_.end()) {
+      return;
+    }
+    seeds_.push_back(order);
+    const double objective = evaluator_.evaluate(order);
     if (objective < incumbent_) {
       incumbent_ = objective;
       best_order_ = std::move(order);
@@ -187,12 +192,12 @@ class Searcher {
   /// True when a subtree with lower bound `bound` cannot improve on the
   /// incumbent by more than the numerical slack.
   [[nodiscard]] bool prunable(double bound) const noexcept {
-    if (!std::isfinite(incumbent_)) {
-      return false;
-    }
-    const double slack =
-        options_.bound_slack * std::max(1.0, std::abs(incumbent_));
-    return bound >= incumbent_ - slack;
+    return std::isfinite(incumbent_) && bound >= incumbent_ - slack();
+  }
+
+  /// Absolute numerical slack around the (finite) incumbent.
+  [[nodiscard]] double slack() const noexcept {
+    return options_.bound_slack * std::max(1.0, std::abs(incumbent_));
   }
 
   /// Completion floor of task `t` when it is the next to complete after
@@ -330,7 +335,15 @@ class Searcher {
     const std::size_t depth = evaluator_.depth();
     if (depth == n_) {
       ++stats_.leaves;
-      const double objective = evaluator_.objective();
+      // Warm and from-scratch values agree far inside the slack, so a leaf
+      // whose warm value is not below incumbent + slack cannot win.  A
+      // candidate re-solves from scratch and only that value competes,
+      // keeping the incumbent bit-identical with order_lp_objective.
+      if (std::isfinite(incumbent_) &&
+          evaluator_.objective() >= incumbent_ + slack()) {
+        return;
+      }
+      const double objective = evaluator_.resolve();
       if (objective < incumbent_) {
         incumbent_ = objective;
         best_order_.assign(evaluator_.prefix().begin(),
@@ -434,10 +447,9 @@ class Searcher {
         ++stats_.pruned_by_cut;
         continue;
       }
-      // Interior nodes warm-start from the parent basis; the leaf re-solves
-      // from scratch so its objective is bit-identical with enumeration's.
-      const bool leaf_push = depth + 1 == n_;
-      const double pushed = evaluator_.push(child.task, leaf_push);
+      // Every node warm-starts from the parent basis; a leaf that can beat
+      // the incumbent re-solves from scratch below.
+      const double pushed = evaluator_.push(child.task, /*exact=*/false);
       ++stats_.nodes;
       used_ |= bit(child.task);
 
@@ -487,6 +499,7 @@ class Searcher {
   double incumbent_ = kInf;
   bool cancelled_ = false;
   std::vector<std::size_t> best_order_;
+  std::vector<std::vector<std::size_t>> seeds_;  ///< seed orders evaluated
 };
 
 }  // namespace

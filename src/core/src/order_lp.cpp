@@ -204,16 +204,26 @@ lp::Model build_order_lp_compact(const Instance& instance,
   return model;
 }
 
-}  // namespace
-
-double order_lp_objective(const Instance& instance,
-                          std::span<const std::size_t> order) {
+/// From-scratch objective of the compact LP; adds the simplex pivots it
+/// took to `pivots`.
+double compact_objective(const Instance& instance,
+                         std::span<const std::size_t> order,
+                         std::size_t& pivots) {
   const auto model = build_order_lp_compact(instance, order);
   const auto solution = lp::solve(model);
+  pivots += solution.iterations;
   if (!solution.optimal()) {
     return std::numeric_limits<double>::infinity();
   }
   return solution.objective;
+}
+
+}  // namespace
+
+double order_lp_objective(const Instance& instance,
+                          std::span<const std::size_t> order) {
+  std::size_t pivots = 0;
+  return compact_objective(instance, order, pivots);
 }
 
 namespace detail {
@@ -232,10 +242,9 @@ namespace detail {
 ///   L_k and x_{k,k} touch no old rows at all;
 /// * new rows are reduced against the basis in one pass (only the width
 ///   rows reference an old variable, L_j);
-/// * the new volume row enters with its artificial basic at V_k — the only
-///   infeasibility — so a phase-1 restricted to artificial cost followed
-///   by a re-priced phase 2 re-optimizes in a few pivots, not a
-///   from-scratch two-phase solve.
+/// * no phase 1: appending task k after the whole prefix (all of V_k in
+///   the new column) is always feasible, and two setup pivots make that
+///   basis current; phase 2 then re-optimizes in a few pivots.
 ///
 /// pop() restores the parent's full state from a per-depth snapshot.
 class IncrementalOrderLp {
@@ -243,8 +252,13 @@ class IncrementalOrderLp {
   explicit IncrementalOrderLp(const Instance& instance)
       : instance_(&instance), processors_(instance.processors()) {}
 
-  double push(std::size_t task, bool solve = true) {
-    snapshots_.push_back(state_);
+  double push(std::size_t task) {
+    // Snapshot into the per-depth slot: copy-assignment reuses its row
+    // buffers, so pushes allocate only the first time at each depth.
+    if (snapshots_.size() == depth_) {
+      snapshots_.emplace_back();
+    }
+    snapshots_[depth_++] = state_;
     State& s = state_;
     const std::size_t position = s.position_weights.size();
     const Task& t = instance_->task(task);
@@ -267,12 +281,12 @@ class IncrementalOrderLp {
     // reduction needed.  Future pushes add their x_{·,k} into this row via
     // the slack-column copy above, which is why the slack column index is
     // recorded.
+    const std::size_t cap_row = append_row();
+    s.tab[cap_row][x_cols[position]] = 1.0;
+    s.tab[cap_row][l_col] = -processors_;
     {
-      const std::size_t row = append_row();
-      s.tab[row][x_cols[position]] = 1.0;
-      s.tab[row][l_col] = -processors_;
       const std::size_t slack = append_zero_column();
-      s.tab[row][slack] = 1.0;
+      s.tab[cap_row][slack] = 1.0;
       s.basis.push_back(slack);
       s.rhs.push_back(0.0);
       s.cap_slack_col.push_back(slack);
@@ -280,6 +294,7 @@ class IncrementalOrderLp {
     // Width rows x_{k,j} − δ·L_j <= 0 (skipped when the capacity row
     // already implies them).  For j < position they reference the old
     // variable L_j and must be reduced if it is basic.
+    std::size_t tight_row = cap_row;  // the row that caps x_{k,k} hardest
     if (width < processors_) {
       for (std::size_t j = 0; j <= position; ++j) {
         const std::size_t row = append_row();
@@ -291,58 +306,38 @@ class IncrementalOrderLp {
         const std::size_t slack = append_zero_column();
         s.tab[row][slack] = 1.0;
         s.basis.push_back(slack);
+        tight_row = row;  // ends on j = position
       }
     }
-    // Volume row: Σ_j x_{k,j} = V_k — all-new variables; its artificial
-    // starts basic at V_k, the single primal infeasibility to repair.
-    {
-      const std::size_t row = append_row();
-      for (std::size_t j = 0; j <= position; ++j) {
-        s.tab[row][x_cols[j]] = 1.0;
-      }
-      const std::size_t artificial = append_zero_column();
-      s.tab[row][artificial] = 1.0;
-      s.artificial[artificial] = 1;
-      s.basis.push_back(artificial);
-      s.rhs.push_back(t.volume);
+    // Volume row: Σ_j x_{k,j} = V_k — all-new variables.
+    const std::size_t volume_row = append_row();
+    for (std::size_t j = 0; j <= position; ++j) {
+      s.tab[volume_row][x_cols[j]] = 1.0;
     }
+    s.rhs.push_back(t.volume);
+    s.basis.push_back(x_cols[position]);
     s.position_weights.push_back(t.weight);
     s.tasks.push_back(task);
-    if (!solve) {
-      // Structure-only push (the caller wants a from-scratch value, e.g. a
-      // bit-reproducible leaf): the new artificial stays basic at V_k and
-      // is repaired by the next solving push's phase 1.
-      return 0.0;
-    }
 
-    // --- phase 1 (artificial cost), then re-priced phase 2 ---------------
-    costs_.assign(s.cols, 0.0);
-    for (std::size_t c = 0; c < s.cols; ++c) {
-      if (s.artificial[c] != 0) {
-        costs_[c] = 1.0;
-      }
-    }
-    if (!optimize(/*allow_artificials=*/true)) {
-      return resolve_from_scratch();
-    }
-    double residual = 0.0;
-    for (std::size_t i = 0; i < s.rows(); ++i) {
-      if (s.artificial[s.basis[i]] != 0) {
-        residual += s.rhs[i];
-      }
-    }
-    if (residual > kEps * std::max(1.0, t.volume)) {
-      // The order LP is always feasible; a positive residual means the
-      // warm-started basis drifted numerically.
-      return resolve_from_scratch();
-    }
+    // --- a feasible basis without phase 1 --------------------------------
+    // Appending the task after the whole prefix is always feasible: all of
+    // V_k in the new column, x_{k,k} = V_k, L_k = V_k / min(δ, P).  Two
+    // pivots make it basic: x_{k,k} in the volume row, then L_k in the row
+    // that binds at that length (the other row keeps its slack, at
+    // (P − δ)·L_k ≥ 0).  Neither variable appears in an old row, so the
+    // parent's part of the basis stays feasible as it was.
+    eliminate(volume_row, x_cols[position]);
+    eliminate(tight_row, l_col);
+    s.basis[tight_row] = l_col;
+
+    // --- re-optimize: phase 2 from the appended basis --------------------
     costs_.assign(s.cols, 0.0);
     double suffix_weight = 0.0;
     for (std::size_t j = s.position_weights.size(); j-- > 0;) {
       suffix_weight += s.position_weights[j];
       costs_[s.l_col[j]] = suffix_weight;
     }
-    if (!optimize(/*allow_artificials=*/false)) {
+    if (!optimize()) {
       return resolve_from_scratch();
     }
     double objective = 0.0;
@@ -353,17 +348,25 @@ class IncrementalOrderLp {
   }
 
   void pop() {
-    MALSCHED_ASSERT(!snapshots_.empty());
-    state_ = std::move(snapshots_.back());
-    snapshots_.pop_back();
+    MALSCHED_ASSERT(depth_ > 0);
+    // Swap, so the slot keeps the child's buffers for the next push.
+    std::swap(state_, snapshots_[--depth_]);
   }
+
+  /// From-scratch objective of `order` (any order, not only the pushed
+  /// prefix), counted in pivots().
+  double solve_from_scratch(std::span<const std::size_t> order) {
+    return compact_objective(*instance_, order, pivots_);
+  }
+
+  /// Simplex pivots so far: warm re-optimizations and from-scratch solves.
+  [[nodiscard]] std::size_t pivots() const noexcept { return pivots_; }
 
  private:
   struct State {
     std::vector<std::vector<double>> tab;  ///< rows over columns
     std::vector<double> rhs;
     std::vector<std::size_t> basis;        ///< per row: basic column
-    std::vector<std::uint8_t> artificial;  ///< per column
     std::vector<std::size_t> cap_slack_col;  ///< per position
     std::vector<std::size_t> l_col;          ///< per position
     std::vector<double> position_weights;
@@ -384,7 +387,6 @@ class IncrementalOrderLp {
     for (auto& row : state_.tab) {
       row.push_back(0.0);
     }
-    state_.artificial.push_back(0);
     return state_.cols++;
   }
 
@@ -392,7 +394,6 @@ class IncrementalOrderLp {
     for (auto& row : state_.tab) {
       row.push_back(row[source]);
     }
-    state_.artificial.push_back(0);
     return state_.cols++;
   }
 
@@ -423,7 +424,7 @@ class IncrementalOrderLp {
 
   /// Primal simplex on `costs_` from the current (feasible) basis.
   /// Returns false when the iteration budget is exhausted.
-  bool optimize(bool allow_artificials) {
+  bool optimize() {
     State& s = state_;
     reduced_ = costs_;
     for (std::size_t i = 0; i < s.rows(); ++i) {
@@ -448,9 +449,6 @@ class IncrementalOrderLp {
       const bool use_bland = iteration >= bland_after;
       std::size_t entering = s.cols;
       for (std::size_t c = 0; c < s.cols; ++c) {
-        if (!allow_artificials && s.artificial[c] != 0) {
-          continue;
-        }
         if (reduced_[c] >= -kEps) {
           continue;
         }
@@ -483,9 +481,9 @@ class IncrementalOrderLp {
           leaving = i;
         }
       }
-      // Costs are non-negative (phase 1) or suffix weights (phase 2), so
-      // the LP is bounded below; a missing leaving row would mean the
-      // basis drifted — treat as a failed warm start.
+      // Costs are suffix weights (non-negative), so the LP is bounded
+      // below; a missing leaving row would mean the basis drifted — treat
+      // as a failed warm start.
       if (leaving == s.rows()) {
         return false;
       }
@@ -493,7 +491,10 @@ class IncrementalOrderLp {
     }
   }
 
-  void pivot(std::size_t row, std::size_t col) {
+  /// Row operations of a pivot on (row, col): scales the row so the pivot
+  /// element is 1 and clears the column from every other row.  Leaves the
+  /// basis and the reduced costs alone.
+  void eliminate(std::size_t row, std::size_t col) {
     State& s = state_;
     auto& pivot_row = s.tab[row];
     const double pivot_value = pivot_row[col];
@@ -517,29 +518,35 @@ class IncrementalOrderLp {
       target[col] = 0.0;
       s.rhs[i] = snap(s.rhs[i] - factor * s.rhs[row]);
     }
+  }
+
+  void pivot(std::size_t row, std::size_t col) {
+    eliminate(row, col);
+    const auto& pivot_row = state_.tab[row];
     const double cost_factor = reduced_[col];
     if (cost_factor != 0.0) {
-      for (std::size_t c = 0; c < s.cols; ++c) {
+      for (std::size_t c = 0; c < state_.cols; ++c) {
         reduced_[c] = snap(reduced_[c] - cost_factor * pivot_row[c]);
       }
       reduced_[col] = 0.0;
     }
-    s.basis[row] = col;
+    state_.basis[row] = col;
+    ++pivots_;
   }
 
   /// Warm-start failure fallback: the tableau stays primal feasible (every
   /// ratio-test pivot preserves feasibility), so future pushes remain
   /// valid; only this node's value is recomputed exactly.
-  double resolve_from_scratch() {
-    return order_lp_objective(*instance_, state_.tasks);
-  }
+  double resolve_from_scratch() { return solve_from_scratch(state_.tasks); }
 
   const Instance* instance_;
   double processors_;
   State state_;
-  std::vector<State> snapshots_;
+  std::vector<State> snapshots_;  ///< snapshots_[d]: state at depth d
+  std::size_t depth_ = 0;         ///< snapshots_[0, depth_) are live
   std::vector<double> costs_;
   std::vector<double> reduced_;
+  std::size_t pivots_ = 0;
 };
 
 }  // namespace detail
@@ -550,7 +557,6 @@ OrderLpEvaluator::OrderLpEvaluator(const Instance& instance)
   const std::size_t n = instance.size();
   prefix_.reserve(n);
   objectives_.reserve(n);
-  volumes_.reserve(n);
   profiles_.reserve(n + 1);
   profiles_.emplace_back(instance.processors());
 }
@@ -568,42 +574,41 @@ double OrderLpEvaluator::push(std::size_t task, bool exact) {
       "task already in the prefix");
   prefix_.push_back(task);
   ++lp_evaluations_;
-  double objective;
+  objectives_.push_back(lp_->push(task));
   if (exact) {
-    // Leaves re-solve from scratch so the reported objective is
-    // bit-identical with what enumeration computes for the same order.
-    // The incremental state is still extended (snapshot + appended
-    // rows/columns, no re-optimization) so pop() and deeper pushes stay
-    // consistent — the next warm-started push's phase 1 repairs every
-    // outstanding artificial, not just its own.
-    lp_->push(task, /*solve=*/false);
-    objective = order_lp_objective(*instance_, prefix_);
-  } else {
-    objective = lp_->push(task);
+    resolve();
   }
-  objectives_.push_back(objective);
-  volumes_.push_back(prefix_volume() + instance_->task(task).volume);
   profiles_.push_back(profiles_.back());
   profiles_.back().place(instance_->effective_width(task),
                          instance_->task(task).volume);
-  return objective;
+  return objectives_.back();
 }
 
 void OrderLpEvaluator::pop() {
   MALSCHED_EXPECTS(!prefix_.empty());
   prefix_.pop_back();
   objectives_.pop_back();
-  volumes_.pop_back();
   profiles_.pop_back();
   lp_->pop();
 }
 
-double OrderLpEvaluator::objective() const noexcept {
-  return objectives_.empty() ? 0.0 : objectives_.back();
+double OrderLpEvaluator::resolve() {
+  MALSCHED_EXPECTS(!prefix_.empty());
+  objectives_.back() = lp_->solve_from_scratch(prefix_);
+  return objectives_.back();
 }
 
-double OrderLpEvaluator::prefix_volume() const noexcept {
-  return volumes_.empty() ? 0.0 : volumes_.back();
+double OrderLpEvaluator::evaluate(std::span<const std::size_t> order) {
+  ++lp_evaluations_;
+  return lp_->solve_from_scratch(order);
+}
+
+std::size_t OrderLpEvaluator::pivots() const noexcept {
+  return lp_->pivots();
+}
+
+double OrderLpEvaluator::objective() const noexcept {
+  return objectives_.empty() ? 0.0 : objectives_.back();
 }
 
 double OrderLpEvaluator::greedy_completion(std::size_t task) const {

@@ -74,6 +74,9 @@ class DenseSimplex {
     S objective{};
     std::vector<S> values;
     std::size_t iterations = 0;
+    /// Phase 1 looked unbounded, which only tolerance drift can cause (its
+    /// objective is bounded below by zero): re-solve exactly.
+    bool phase1_drift = false;
   };
 
   explicit DenseSimplex(const Model& model, const SimplexOptions& options)
@@ -258,36 +261,14 @@ class DenseSimplex {
 
   void pivot(std::size_t row, std::size_t col, std::vector<S>& reduced,
              S& objective_value) {
-    RowVec& pivot_row = tableau_[row];
-    const S pivot_value = pivot_row[col];
-    MALSCHED_ASSERT(policy_.is_pos(pivot_value));
-
-    for (S& v : pivot_row) {
-      v = policy_.snap(v / pivot_value);
-    }
-    rhs_[row] = policy_.snap(rhs_[row] / pivot_value);
-    pivot_row[col] = ScalarPolicy<S>::from_double(1.0);
-
-    for (std::size_t i = 0; i < tableau_.size(); ++i) {
-      if (i == row) {
-        continue;
-      }
-      const S factor = tableau_[i][col];
-      if (policy_.is_zero(factor)) {
-        tableau_[i][col] = S{};
-        continue;
-      }
-      RowVec& target = tableau_[i];
-      for (std::size_t j = 0; j < target.size(); ++j) {
-        target[j] = policy_.snap(target[j] - factor * pivot_row[j]);
-      }
-      target[col] = S{};
-      rhs_[i] = policy_.snap(rhs_[i] - factor * rhs_[row]);
-    }
+    MALSCHED_ASSERT(policy_.is_pos(tableau_[row][col]));
+    normalize_pivot_row(row, col);
+    eliminate_pivot_column(row, col, /*clear_small=*/true);
 
     const S cost_factor = reduced[col];
     if (!policy_.is_zero(cost_factor)) {
-      for (std::size_t j = 0; j < reduced.size(); ++j) {
+      const RowVec& pivot_row = tableau_[row];
+      for (const std::size_t j : pivot_nonzeros_) {
         reduced[j] = policy_.snap(reduced[j] - cost_factor * pivot_row[j]);
       }
       reduced[col] = S{};
@@ -295,6 +276,53 @@ class DenseSimplex {
     }
 
     basis_[row] = col;
+  }
+
+  /// Divides the pivot row by its pivot element and lists its nonzero
+  /// columns in pivot_nonzeros_, the only ones the pivot's row updates can
+  /// change (skipping exact zeros is bit-identical: x − f·0 = x).
+  void normalize_pivot_row(std::size_t row, std::size_t col) {
+    RowVec& pivot_row = tableau_[row];
+    const S pivot_value = pivot_row[col];
+    pivot_nonzeros_.clear();
+    for (std::size_t j = 0; j < pivot_row.size(); ++j) {
+      S& v = pivot_row[j];
+      if (v == S{}) {
+        continue;
+      }
+      v = policy_.snap(v / pivot_value);
+      if (v != S{}) {
+        pivot_nonzeros_.push_back(j);
+      }
+    }
+    rhs_[row] = policy_.snap(rhs_[row] / pivot_value);
+    pivot_row[col] = ScalarPolicy<S>::from_double(1.0);
+  }
+
+  /// Subtracts the normalized pivot row from every other row with a
+  /// significant pivot-column entry; `clear_small` also zeroes the
+  /// insignificant ones (the primal pivot does, pivot_degenerate not).
+  void eliminate_pivot_column(std::size_t row, std::size_t col,
+                              bool clear_small) {
+    const RowVec& pivot_row = tableau_[row];
+    for (std::size_t i = 0; i < tableau_.size(); ++i) {
+      if (i == row) {
+        continue;
+      }
+      RowVec& target = tableau_[i];
+      const S factor = target[col];
+      if (policy_.is_zero(factor)) {
+        if (clear_small) {
+          target[col] = S{};
+        }
+        continue;
+      }
+      for (const std::size_t j : pivot_nonzeros_) {
+        target[j] = policy_.snap(target[j] - factor * pivot_row[j]);
+      }
+      target[col] = S{};
+      rhs_[i] = policy_.snap(rhs_[i] - factor * rhs_[row]);
+    }
   }
 
   /// Phase 1.  Returns false (filling `result`) when infeasible or stalled.
@@ -316,11 +344,12 @@ class DenseSimplex {
     // recomputed value below, so pass a scratch accumulator.
     const SolveStatus status =
         iterate(reduced, value, column_count(), result.iterations);
-    if (status == SolveStatus::IterationLimit) {
+    if (status != SolveStatus::Optimal) {
+      // Phase 1 is bounded below by zero: Unbounded here is tolerance drift.
       result.status = status;
+      result.phase1_drift = status == SolveStatus::Unbounded;
       return false;
     }
-    MALSCHED_ASSERT(status == SolveStatus::Optimal);  // phase 1 is bounded
 
     // Recompute the phase-1 objective from the basis (robust against the
     // incremental accumulator drifting in double).
@@ -357,29 +386,9 @@ class DenseSimplex {
   /// Pivot used to expel a zero-valued artificial; the pivot element may be
   /// negative (rhs is zero, so feasibility is preserved).
   void pivot_degenerate(std::size_t row, std::size_t col) {
-    RowVec& pivot_row = tableau_[row];
-    const S pivot_value = pivot_row[col];
-    MALSCHED_ASSERT(!policy_.is_zero(pivot_value));
-    for (S& v : pivot_row) {
-      v = policy_.snap(v / pivot_value);
-    }
-    rhs_[row] = policy_.snap(rhs_[row] / pivot_value);
-    pivot_row[col] = ScalarPolicy<S>::from_double(1.0);
-    for (std::size_t i = 0; i < tableau_.size(); ++i) {
-      if (i == row) {
-        continue;
-      }
-      const S factor = tableau_[i][col];
-      if (policy_.is_zero(factor)) {
-        continue;
-      }
-      RowVec& target = tableau_[i];
-      for (std::size_t j = 0; j < target.size(); ++j) {
-        target[j] = policy_.snap(target[j] - factor * pivot_row[j]);
-      }
-      target[col] = S{};
-      rhs_[i] = policy_.snap(rhs_[i] - factor * rhs_[row]);
-    }
+    MALSCHED_ASSERT(!policy_.is_zero(tableau_[row][col]));
+    normalize_pivot_row(row, col);
+    eliminate_pivot_column(row, col, /*clear_small=*/false);
     basis_[row] = col;
   }
 
@@ -418,6 +427,7 @@ class DenseSimplex {
   std::vector<S> rhs_;
   std::vector<S> objective_;
   std::vector<std::size_t> basis_;
+  std::vector<std::size_t> pivot_nonzeros_;  ///< scratch for pivot()
 };
 
 }  // namespace malsched::lp::detail

@@ -183,9 +183,9 @@ SolveResult solve_order_lp_smith(const core::Instance& instance) {
 
 SolveResult solve_optimal(const core::Instance& instance,
                           const SolveContext& context) {
-  // Branch-and-bound (PR 3) raised the exact-serving guard from the n <= 9
-  // of the pure-enumeration era to n <= 15; the mean-busy-time cuts raised
-  // it again to OptimalOptions' n <= 18 default.  Beyond it the typed
+  // Branch-and-bound raised the exact-serving guard from the n <= 9 of the
+  // pure-enumeration era to n <= 15; the mean-busy-time cuts raised it
+  // again to OptimalOptions' n <= 18 default.  Beyond it the typed
   // SizeGuard error stands.
   core::OptimalOptions options;
   options.want_schedule = true;
@@ -231,19 +231,11 @@ double greedy_search_cost(std::size_t n) {
 }
 
 double optimal_cost(std::size_t n) {
-  // Below the crossover: n! order-LP solves.  Above: branch-and-bound —
-  // pruning makes the truth instance-dependent, so charge the n·2^n subset
-  // flavour that tracks the measured n = 8..18 envelope.
+  // Branch-and-bound at every n: pruning makes the truth instance-dependent,
+  // so charge the n·2^n subset flavour that tracks the measured n = 8..18
+  // envelope and stays increasing in n, as priority admission needs.
   const auto x = static_cast<double>(n);
-  double lp_count = 1.0;
-  if (n <= 7) {
-    for (std::size_t i = 2; i <= n; ++i) {
-      lp_count *= static_cast<double>(i);
-    }
-  } else {
-    lp_count = x * std::pow(2.0, x);
-  }
-  return 2e-4 * lp_count + 1e-4;
+  return 2e-4 * x * std::pow(2.0, x) + 1e-4;
 }
 
 }  // namespace

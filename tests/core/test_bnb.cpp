@@ -1,8 +1,10 @@
 // Branch-and-bound exactness: the pruned search must return the same
-// optimum as n! enumeration on every fixture and across every generator
-// family, the pruning machinery must degenerate to exhaustive enumeration
-// when disabled, and the OrderLpEvaluator's warm-started prefix values must
-// agree with from-scratch order-LP solves through arbitrary push/pop walks.
+// optimum as the n! enumeration oracle (tests/oracle/enumeration.hpp) on
+// every fixture and across every generator family — bit for bit on the
+// objective for n <= 7, and on the order where it is unique — the pruning
+// machinery must degenerate to exhaustive enumeration when disabled, and
+// the OrderLpEvaluator's warm-started prefix values must agree with
+// from-scratch order-LP solves through arbitrary push/pop walks.
 
 #include "malsched/core/bnb.hpp"
 
@@ -19,9 +21,11 @@
 #include "malsched/core/io.hpp"
 #include "malsched/core/optimal.hpp"
 #include "malsched/core/order_lp.hpp"
+#include "oracle/enumeration.hpp"
 
 namespace mc = malsched::core;
 namespace ms = malsched::support;
+using malsched::testing::enumerate_optimal;
 
 namespace {
 
@@ -58,8 +62,8 @@ TEST(Bnb, MatchesEnumerationOnEveryFixture) {
        {"example_small.mls", "bandwidth_fig1.mls",
         "theorem9_counterexample.mls", "wide_tasks.mls"}) {
     const auto inst = load(fixture);
-    ASSERT_LE(inst.size(), 9u) << fixture;
-    const auto enumerated = mc::optimal_by_enumeration(inst);
+    ASSERT_LE(inst.size(), 7u) << fixture;
+    const auto enumerated = enumerate_optimal(inst);
     const auto bnb = mc::branch_and_bound(inst);
     EXPECT_LT(relative_gap(bnb.objective, enumerated.objective), 1e-6)
         << fixture << ": bnb " << bnb.objective << " vs enumeration "
@@ -83,7 +87,7 @@ TEST(Bnb, MatchesEnumerationAcrossGeneratorFamilies) {
       config.num_tasks = 2 + static_cast<std::size_t>(rep % 4);
       config.processors = (rep % 3 == 0) ? 1.0 : 4.0;
       const auto inst = mc::generate(config, rng);
-      const auto enumerated = mc::optimal_by_enumeration(inst);
+      const auto enumerated = enumerate_optimal(inst);
       const auto bnb = mc::branch_and_bound(inst);
       EXPECT_LT(relative_gap(bnb.objective, enumerated.objective), 1e-6)
           << mc::family_name(family) << " rep " << rep << " n "
@@ -113,7 +117,8 @@ TEST(Bnb, DisabledPruningVisitsExactlyFactorialLeaves) {
   EXPECT_EQ(exhaustive.stats.pruned_by_bound, 0u);
   EXPECT_EQ(exhaustive.stats.pruned_by_dominance, 0u);
 
-  const auto enumerated = mc::optimal_by_enumeration(inst);
+  const auto enumerated = enumerate_optimal(inst);
+  EXPECT_EQ(enumerated.orders_tried, factorial(inst.size()));
   EXPECT_LT(relative_gap(exhaustive.objective, enumerated.objective), 1e-6);
 
   // Default options search the same space with pruning: same optimum, a
@@ -137,7 +142,8 @@ TEST(BnbCuts, DifferentialFuzzCutsPreserveTheSearchContract) {
   //     approximate;
   //   * cuts-on never expands more nodes than cuts-off (children are sorted
   //     by the DP bound in both modes, so the cut can only subtract);
-  //   * below the enumeration crossover, both agree with the n! baseline.
+  //   * up to n = 6, both agree with the n! oracle (n = 7 parity has its
+  //     own test below, on fewer instances: 5040 order LPs each).
   for (const mc::Family family : mc::all_families()) {
     ms::Rng rng(911 + static_cast<std::uint64_t>(family));
     for (int rep = 0; rep < 50; ++rep) {
@@ -165,7 +171,7 @@ TEST(BnbCuts, DifferentialFuzzCutsPreserveTheSearchContract) {
       EXPECT_EQ(without.stats.pruned_by_cut, 0u);
 
       if (inst.size() <= 6) {
-        const auto enumerated = mc::optimal_by_enumeration(inst);
+        const auto enumerated = enumerate_optimal(inst);
         EXPECT_LT(relative_gap(with.objective, enumerated.objective), 1e-6)
             << mc::family_name(family) << " rep " << rep;
       }
@@ -247,7 +253,7 @@ TEST(BnbCuts, ExchangeCutStaysExactOnShapeClassInstances) {
     off.use_cuts = false;
     const auto without = mc::branch_and_bound(inst, off);
     const auto with = mc::branch_and_bound(inst);
-    const auto enumerated = mc::optimal_by_enumeration(inst);
+    const auto enumerated = enumerate_optimal(inst);
 
     EXPECT_LT(relative_gap(with.objective, enumerated.objective), 1e-6)
         << "rep " << rep << " n " << inst.size();
@@ -312,7 +318,7 @@ TEST(Bnb, DominancePinsZeroVolumeFirstAndZeroWeightLast) {
                                 {0.0, 1.0, 5.0},
                                 {0.5, 2.0, 2.0},
                                 {2.0, 1.5, 0.0}});
-  const auto enumerated = mc::optimal_by_enumeration(inst);
+  const auto enumerated = enumerate_optimal(inst);
   const auto bnb = mc::branch_and_bound(inst);
   EXPECT_LT(relative_gap(bnb.objective, enumerated.objective), 1e-6);
   EXPECT_GT(bnb.stats.pruned_by_dominance, 0u);
@@ -411,20 +417,69 @@ TEST(OrderLpEvaluator, GreedyCompletionMatchesCapacityProfilePeek) {
   }
 }
 
-TEST(Optimal, DelegatesToBranchAndBoundAboveTheCrossover) {
-  ms::Rng rng(11);
-  mc::GeneratorConfig config;
-  config.family = mc::Family::Uniform;
-  config.num_tasks = 8;  // above the enumeration crossover of 7
-  config.processors = 4.0;
-  const auto inst = mc::generate(config, rng);
-  const auto viaOptimal = mc::optimal_by_enumeration(inst);
-  const auto direct = mc::branch_and_bound(inst);
-  EXPECT_EQ(viaOptimal.objective, direct.objective);
-  EXPECT_EQ(viaOptimal.order, direct.order);
-  EXPECT_EQ(viaOptimal.orders_tried, direct.stats.leaves);
-  // n! would be 40320; the proof tree is orders of magnitude smaller.
-  EXPECT_LT(direct.stats.lp_evaluations, 40320u);
+TEST(Bnb, BitParityWithTheEnumerationOracleAtEveryN) {
+  // The search `optimal` serves must reproduce the n! oracle exactly, at
+  // every n = 2..7 and in every generator family: the same objective bits
+  // (a leaf that can win re-solves from scratch, as the oracle does) and,
+  // where the optimal order is unique, the same order.  Where several
+  // orders reach the optimum's exact bits (homogeneous-half's
+  // order-reversal symmetry, equal weights and volumes), dominance and
+  // pruning may settle on another of them, which must then reach those
+  // same bits.
+  std::size_t unique = 0;
+  std::size_t instances = 0;
+  for (const mc::Family family : mc::all_families()) {
+    ms::Rng rng(1201 + static_cast<std::uint64_t>(family));
+    for (std::size_t n = 2; n <= 7; ++n) {
+      const int reps = n == 7 ? 1 : 3;
+      for (int rep = 0; rep < reps; ++rep) {
+        mc::GeneratorConfig config;
+        config.family = family;
+        config.num_tasks = n;
+        config.processors = (rep % 2 == 0) ? 4.0 : 2.0;
+        const auto inst = mc::generate(config, rng);
+        const auto enumerated = enumerate_optimal(inst);
+        const auto served = mc::optimal_by_enumeration(inst);
+        ++instances;
+        EXPECT_EQ(served.objective, enumerated.objective)
+            << mc::family_name(family) << " n " << n << " rep " << rep;
+        if (enumerated.optimal_orders == 1) {
+          ++unique;
+          EXPECT_EQ(served.order, enumerated.order)
+              << mc::family_name(family) << " n " << n << " rep " << rep;
+        } else {
+          EXPECT_EQ(mc::order_lp_objective(inst, served.order),
+                    enumerated.objective)
+              << mc::family_name(family) << " n " << n << " rep " << rep;
+        }
+      }
+    }
+  }
+  // Ties are the exception: most instances pin the order itself.
+  EXPECT_GE(4 * unique, 3 * instances) << unique << " of " << instances;
+}
+
+TEST(Optimal, DelegatesToBranchAndBoundAtEveryN) {
+  // `optimal_by_enumeration` keeps its name for its callers but is the
+  // branch-and-bound at every n: same objective, order and leaf count.
+  for (const std::size_t n : {std::size_t{3}, std::size_t{6},
+                              std::size_t{7}, std::size_t{8}}) {
+    ms::Rng rng(11);
+    mc::GeneratorConfig config;
+    config.family = mc::Family::Uniform;
+    config.num_tasks = n;
+    config.processors = 4.0;
+    const auto inst = mc::generate(config, rng);
+    const auto viaOptimal = mc::optimal_by_enumeration(inst);
+    const auto direct = mc::branch_and_bound(inst);
+    EXPECT_EQ(viaOptimal.objective, direct.objective) << n;
+    EXPECT_EQ(viaOptimal.order, direct.order) << n;
+    EXPECT_EQ(viaOptimal.orders_tried, direct.stats.leaves) << n;
+    if (n >= 6) {
+      // The proof tree is much smaller than the n! orders of the oracle.
+      EXPECT_LT(direct.stats.lp_evaluations, factorial(n)) << n;
+    }
+  }
 }
 
 TEST(Cancellation, PreCancelledTokenStopsTheSearchButKeepsASeedIncumbent) {
@@ -452,8 +507,8 @@ TEST(Cancellation, PreCancelledTokenStopsTheSearchButKeepsASeedIncumbent) {
   EXPECT_FALSE(exact.cancelled);
   EXPECT_GE(cancelled.objective, exact.objective - 1e-9);
 
-  // Same contract through the optimal_by_enumeration facade, on both sides
-  // of the enumeration crossover.
+  // Same contract through the optimal_by_enumeration facade, and for the
+  // n! oracle, which stops before its first order.
   for (const std::size_t n : {std::size_t{6}, std::size_t{9}}) {
     mc::GeneratorConfig small_config;
     small_config.family = mc::Family::Uniform;
@@ -465,6 +520,12 @@ TEST(Cancellation, PreCancelledTokenStopsTheSearchButKeepsASeedIncumbent) {
     optimal_options.cancel = source.token();
     const auto result = mc::optimal_by_enumeration(small_inst, optimal_options);
     EXPECT_TRUE(result.cancelled) << n;
+    EXPECT_EQ(result.order.size(), n) << "a seed incumbent is still returned";
+    if (n <= 7) {
+      const auto oracle = enumerate_optimal(small_inst, source.token());
+      EXPECT_TRUE(oracle.cancelled);
+      EXPECT_EQ(oracle.orders_tried, 0u);
+    }
   }
 }
 

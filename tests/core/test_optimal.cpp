@@ -5,7 +5,9 @@
 #include "malsched/core/bounds.hpp"
 #include "malsched/core/generators.hpp"
 #include "malsched/core/greedy.hpp"
+#include "malsched/core/bnb.hpp"
 #include "malsched/core/orderings.hpp"
+#include "oracle/enumeration.hpp"
 
 namespace mc = malsched::core;
 namespace ms = malsched::support;
@@ -14,7 +16,13 @@ TEST(Optimal, TwoTasksSmithWins) {
   // P=1, δ=1: the classic single-machine case; optimum = Smith order.
   const mc::Instance inst(1.0, {{2.0, 1.0, 1.0}, {1.0, 1.0, 1.0}});
   const auto opt = mc::optimal_by_enumeration(inst);
-  EXPECT_EQ(opt.orders_tried, 2u);
+  // `optimal` reports its branch-and-bound leaves; the oracle tries both
+  // orders and agrees.
+  EXPECT_EQ(opt.orders_tried, mc::branch_and_bound(inst).stats.leaves);
+  const auto oracle = malsched::testing::enumerate_optimal(inst);
+  EXPECT_EQ(oracle.orders_tried, 2u);
+  EXPECT_EQ(oracle.objective, opt.objective);
+  EXPECT_EQ(oracle.order, opt.order);
   // Short first: C = (3, 1): obj = 4; long first: (2, 3): obj = 5.
   EXPECT_NEAR(opt.objective, 4.0, 1e-9);
   EXPECT_EQ(opt.order, (std::vector<std::size_t>{1, 0}));
@@ -63,11 +71,17 @@ TEST(Optimal, WantScheduleProducesValidOptimalSchedule) {
 }
 
 TEST(Optimal, EnumerationCountsFactorial) {
+  // The n! count belongs to the test oracle; `optimal` (branch-and-bound)
+  // reaches at most that many complete orders and finds the same optimum.
   const mc::Instance inst(1.0, {{1.0, 1.0, 1.0},
                                 {0.5, 1.0, 1.0},
                                 {0.25, 1.0, 1.0}});
+  const auto oracle = malsched::testing::enumerate_optimal(inst);
+  EXPECT_EQ(oracle.orders_tried, 6u);
   const auto opt = mc::optimal_by_enumeration(inst);
-  EXPECT_EQ(opt.orders_tried, 6u);
+  EXPECT_LE(opt.orders_tried, 6u);
+  EXPECT_EQ(opt.objective, oracle.objective);
+  EXPECT_EQ(opt.order, oracle.order);
 }
 
 TEST(OptimalDeath, RefusesLargeInstances) {

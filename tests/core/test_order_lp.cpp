@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "malsched/core/generators.hpp"
 #include "malsched/core/greedy.hpp"
 #include "malsched/core/orderings.hpp"
@@ -131,3 +134,59 @@ TEST(OrderLp, BadOrderStillSolvable) {
   EXPECT_LT(small, big);
   EXPECT_TRUE(std::isfinite(big));
 }
+
+namespace {
+
+/// A §V-uniform n = 6 instance on which the double simplex used to report
+/// an unbounded phase 1 (impossible in exact arithmetic: phase 1 is bounded
+/// below by zero) and abort the process.  Six orders, all starting 3 1 5,
+/// drifted that way; they now re-solve exactly.
+mc::Instance phase_one_drift_instance() {
+  return mc::Instance(
+      4.0, {{0.29495988058839451, 0.064970499147340099, 0.43979770929325113},
+            {0.81147344914987163, 2.2999617763278053, 0.98495673217739665},
+            {0.55826596459460787, 2.4928775166648922, 0.40572810867029985},
+            {0.6774928131071648, 1.1181808591097639, 0.086667391446238362},
+            {0.50654756441476934, 1.1266375026753765, 0.23222049605941597},
+            {0.28598255223963875, 0.58184856217955927, 0.22655855668407454}});
+}
+
+class PhaseOneDrift : public ::testing::TestWithParam<std::size_t> {};
+
+}  // namespace
+
+TEST_P(PhaseOneDrift, EveryOrderMatchesExactArithmetic) {
+  // Every order of the instance (split by first task, so the exact
+  // certification runs in parallel shards) must give a finite objective
+  // within 1e-9 of the certified rational optimum, through both the
+  // objective-only and the schedule-building solver.
+  const auto inst = phase_one_drift_instance();
+  std::vector<std::size_t> rest;
+  for (std::size_t task = 0; task < inst.size(); ++task) {
+    if (task != GetParam()) {
+      rest.push_back(task);
+    }
+  }
+  std::size_t orders = 0;
+  do {
+    std::vector<std::size_t> order{GetParam()};
+    order.insert(order.end(), rest.begin(), rest.end());
+    const double objective = mc::order_lp_objective(inst, order);
+    const auto solved = mc::solve_order_lp(inst, order);
+    const auto exact = mc::solve_order_lp_exact(inst, order);
+    ASSERT_TRUE(exact.status == malsched::lp::SolveStatus::Optimal);
+    const double certified = exact.objective.to_double();
+    const double tolerance = 1e-9 * std::max(1.0, certified);
+    ASSERT_TRUE(std::isfinite(objective));
+    EXPECT_NEAR(objective, certified, tolerance)
+        << order[0] << order[1] << order[2] << order[3] << order[4]
+        << order[5];
+    ASSERT_TRUE(solved.optimal());
+    EXPECT_NEAR(solved.objective, certified, tolerance);
+    ++orders;
+  } while (std::next_permutation(rest.begin(), rest.end()));
+  EXPECT_EQ(orders, 120u);
+}
+
+INSTANTIATE_TEST_SUITE_P(FirstTask, PhaseOneDrift,
+                         ::testing::Range(std::size_t{0}, std::size_t{6}));

@@ -4,9 +4,9 @@
 
 #include <algorithm>
 
-#include "malsched/core/optimal.hpp"
 #include "malsched/sim/engine.hpp"
 #include "malsched/sim/policy.hpp"
+#include "oracle/enumeration.hpp"
 
 namespace mc = malsched::core;
 namespace msvc = malsched::service;
@@ -52,8 +52,19 @@ TEST(Registry, OptimalDispatchMatchesEnumeration) {
   const auto inst = small_instance();
   const auto result = registry.solve("optimal", inst);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  const auto direct = mc::optimal_by_enumeration(inst);
+  const auto direct = malsched::testing::enumerate_optimal(inst);
   EXPECT_NEAR(result.objective(), direct.objective, 1e-9);
+}
+
+TEST(Registry, OptimalCostHintRisesWithN) {
+  // Priority admission ranks by estimated seconds, so a bigger exact solve
+  // must never look cheaper than a smaller one.
+  const auto registry = msvc::SolverRegistry::with_default_solvers();
+  for (std::size_t n = 1; n <= 18; ++n) {
+    EXPECT_GT(registry.estimated_seconds("optimal", n),
+              registry.estimated_seconds("optimal", n - 1))
+        << n;
+  }
 }
 
 TEST(Registry, OptimalGuardsLargeInstances) {
