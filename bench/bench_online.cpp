@@ -14,10 +14,17 @@
 //   2. pinned n=8 all-at-t=0 trace: exact-replan must reproduce the offline
 //      branch-and-bound optimum BIT-FOR-BIT (== on the doubles), and every
 //      other policy must stay within the 2x ceiling of Theorem 4;
-//   3. every replayed schedule must validate against its instance.
+//   3. every replayed schedule must validate against its instance;
+//   4. pinned staggered traces (one per trace family): every policy's
+//      replan and event counts must equal kCounterPins exactly — a replay
+//      is deterministic, so any drift is a behaviour change to re-pin on
+//      purpose.  The same replays record us_per_replan per policy (wall
+//      time, reported, not gated).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -47,6 +54,33 @@ online::ArrivalTrace pinned_trace(online::TraceFamily family, std::size_t n,
   support::Rng rng(seed);
   return online::generate_trace(config, rng);
 }
+
+/// Size of the pinned staggered traces of gate 4.
+constexpr std::size_t kStaggeredTasks = 20;
+
+/// Exact work counters of gate 4: pinned_trace(family, kStaggeredTasks,
+/// kPinnedSeed) replayed under each policy.  Deterministic on any host; a
+/// change that makes a policy replan more or less often must re-pin here.
+struct CounterPin {
+  const char* family;
+  const char* policy;
+  std::size_t replans;
+  std::size_t events;
+};
+constexpr CounterPin kCounterPins[] = {
+    {"poisson-bursts", "greedy-append", 16, 40},
+    {"poisson-bursts", "wsew-replan", 32, 40},
+    {"poisson-bursts", "wdeq-replan", 32, 40},
+    {"poisson-bursts", "exact-replan", 16, 40},
+    {"diurnal", "greedy-append", 20, 40},
+    {"diurnal", "wsew-replan", 35, 40},
+    {"diurnal", "wdeq-replan", 35, 40},
+    {"diurnal", "exact-replan", 20, 40},
+    {"adversarial-spike", "greedy-append", 6, 40},
+    {"adversarial-spike", "wsew-replan", 24, 40},
+    {"adversarial-spike", "wdeq-replan", 24, 40},
+    {"adversarial-spike", "exact-replan", 6, 40},
+};
 
 /// All arrivals at t = 0 with the §V-uniform marginals: the degenerate trace
 /// on which online collapses to the offline batch problem.
@@ -171,6 +205,60 @@ int run_gate(bench::BenchJson& json) {
       }
       check(static_cast<bool>(run.schedule.validate(instance)),
             (policy->name() + " replayed schedule validates").c_str());
+    }
+  }
+
+  // 4. Pinned staggered traces: replan and event counts never drift.
+  {
+    std::printf("gate 4: pinned staggered n=%zu traces (counter pins)\n",
+                kStaggeredTasks);
+    std::vector<std::string> names;
+    std::vector<double> seconds;
+    std::vector<double> replans;
+    for (const online::TraceFamily family : online::all_trace_families()) {
+      const std::string family_name = online::trace_family_name(family);
+      const auto trace = pinned_trace(family, kStaggeredTasks, kPinnedSeed);
+      const auto instance = trace.to_instance();
+      auto policies = online::all_replan_policies();
+      names.resize(policies.size());
+      seconds.resize(policies.size(), 0.0);
+      replans.resize(policies.size(), 0.0);
+      for (std::size_t p = 0; p < policies.size(); ++p) {
+        const std::string name = policies[p]->name();
+        const auto start = std::chrono::steady_clock::now();
+        const auto run = online::replay(trace, *policies[p]);
+        const std::chrono::duration<double> took =
+            std::chrono::steady_clock::now() - start;
+        names[p] = name;
+        seconds[p] += took.count();
+        replans[p] += static_cast<double>(run.replans);
+        const std::string scenario = "pinned_staggered_" + family_name;
+        json.add(scenario, name + "_replans", static_cast<double>(run.replans));
+        json.add(scenario, name + "_events", static_cast<double>(run.events));
+        check(static_cast<bool>(run.schedule.validate(instance)),
+              (family_name + " " + name + " validates").c_str());
+        const CounterPin* pin = nullptr;
+        for (const CounterPin& candidate : kCounterPins) {
+          if (family_name == candidate.family && name == candidate.policy) {
+            pin = &candidate;
+          }
+        }
+        const bool pinned = pin != nullptr && run.replans == pin->replans &&
+                            run.events == pin->events;
+        if (!pinned) {
+          std::printf("    %s %s: replans %zu, events %zu; pinned %zu, %zu\n",
+                      family_name.c_str(), name.c_str(), run.replans,
+                      run.events, pin == nullptr ? 0 : pin->replans,
+                      pin == nullptr ? 0 : pin->events);
+        }
+        check(pinned,
+              (family_name + " " + name + " replans/events == pin").c_str());
+      }
+    }
+    for (std::size_t p = 0; p < names.size(); ++p) {
+      const double us = seconds[p] / std::max(replans[p], 1.0) * 1e6;
+      std::printf("  %-16s %8.1f us per replan\n", names[p].c_str(), us);
+      json.add("us_per_replan", names[p], us);
     }
   }
   return failures == 0 ? 0 : 1;

@@ -47,6 +47,17 @@ struct WaterFillResult {
                                        std::span<const double> deadlines,
                                        support::Tolerance tol = {});
 
+/// One pour of WF: the minimal water level h* with
+///   Σ_k lengths[k] · clamp(h* − heights[k], 0, cap) = volume,
+/// `ceiling` when only h* = ceiling reaches the volume within tolerance,
+/// and infinity when even that is not enough.  water_fill and
+/// water_fill_feasible call this for every task; it is exposed so the
+/// level can be checked on its own.
+[[nodiscard]] double water_level(std::span<const double> heights,
+                                 std::span<const double> lengths, double cap,
+                                 double volume, double ceiling,
+                                 support::Tolerance tol = {});
+
 /// Normalizes an arbitrary valid schedule: extracts its completion times and
 /// rebuilds the WF normal form (same completions, canonical allocation).
 [[nodiscard]] WaterFillResult normalize(const Instance& instance,

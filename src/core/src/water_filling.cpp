@@ -30,10 +30,13 @@ struct LevelEvent {
 ///   Σ_k lengths[k] * clamp(h* - heights[k], 0, cap) == volume
 /// over the given columns, or returns infinity if even h* = ceiling is not
 /// enough.  The pour function is piecewise linear and non-decreasing in h;
-/// one sort of its slope-change events plus a running-sum sweep locates the
-/// crossing segment in O(n log n) (the old per-breakpoint re-summation was
-/// O(n²)).  `events` is caller-owned scratch so loops over find_level do not
-/// reallocate.
+/// a running-sum sweep over its slope-change events in ascending order
+/// locates the crossing segment.  Heights are non-increasing in column
+/// index (Lemma 3), so the fill events h_k and the saturation events
+/// h_k + cap are each ascending read from the last column back, and one
+/// merge orders them in O(n).  A profile out of order (the residue fix of
+/// water_fill can leave one) falls back to sorting.  `events` is
+/// caller-owned scratch so loops over find_level do not reallocate.
 double find_level(std::span<const double> heights,
                   std::span<const double> lengths, double cap, double volume,
                   double ceiling, support::Tolerance tol,
@@ -45,29 +48,54 @@ double find_level(std::span<const double> heights,
 
   // Pour and right-derivative at h = 0; columns whose span [h_k, h_k + cap]
   // starts at or below 0 fold into the initial slope instead of the queue.
-  events.clear();
-  events.reserve(heights.size() * 2);
   double poured = 0.0;
   double slope = 0.0;
+  bool monotone = true;
   for (std::size_t k = 0; k < heights.size(); ++k) {
     poured += lengths[k] * pour_rate(0.0, heights[k], cap);
-    const double fill_h = heights[k];
-    const double saturate_h = heights[k] + cap;
-    if (fill_h <= 0.0 && 0.0 < saturate_h) {
+    if (heights[k] <= 0.0 && 0.0 < heights[k] + cap) {
       slope += lengths[k];
     }
-    if (fill_h > 0.0) {
-      events.push_back({fill_h, lengths[k]});
-    }
-    if (saturate_h > 0.0) {
-      events.push_back({saturate_h, -lengths[k]});
-    }
+    monotone = monotone && (k == 0 || heights[k] <= heights[k - 1]);
   }
   if (poured >= volume) {
     return 0.0;
   }
-  std::sort(events.begin(), events.end(),
-            [](const LevelEvent& a, const LevelEvent& b) { return a.h < b.h; });
+  events.clear();
+  events.reserve(heights.size() * 2);
+  if (monotone) {
+    // Merge the two ascending runs, walking the columns from the last.
+    constexpr double kDone = std::numeric_limits<double>::infinity();
+    std::size_t fill = heights.size();
+    std::size_t saturate = heights.size();
+    while (fill > 0 || saturate > 0) {
+      const double fill_h = fill > 0 ? heights[fill - 1] : kDone;
+      const double saturate_h =
+          saturate > 0 ? heights[saturate - 1] + cap : kDone;
+      if (fill_h <= saturate_h) {
+        --fill;
+        if (fill_h > 0.0) {
+          events.push_back({fill_h, lengths[fill]});
+        }
+      } else {
+        --saturate;
+        if (saturate_h > 0.0) {
+          events.push_back({saturate_h, -lengths[saturate]});
+        }
+      }
+    }
+  } else {
+    for (std::size_t k = 0; k < heights.size(); ++k) {
+      if (heights[k] > 0.0) {
+        events.push_back({heights[k], lengths[k]});
+      }
+      if (heights[k] + cap > 0.0) {
+        events.push_back({heights[k] + cap, -lengths[k]});
+      }
+    }
+    std::sort(events.begin(), events.end(),
+              [](const LevelEvent& a, const LevelEvent& b) { return a.h < b.h; });
+  }
 
   // Sweep: advance the running (poured, slope) pair event by event and
   // interpolate inside the segment that crosses `volume`.  Track the pour at
@@ -103,6 +131,14 @@ double find_level(std::span<const double> heights,
 }
 
 }  // namespace
+
+double water_level(std::span<const double> heights,
+                   std::span<const double> lengths, double cap, double volume,
+                   double ceiling, support::Tolerance tol) {
+  MALSCHED_EXPECTS(heights.size() == lengths.size());
+  std::vector<LevelEvent> events;
+  return find_level(heights, lengths, cap, volume, ceiling, tol, events);
+}
 
 WaterFillResult water_fill(const Instance& instance,
                            std::span<const double> completions,

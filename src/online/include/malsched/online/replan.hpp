@@ -6,9 +6,11 @@
 /// The replay clock (clock.hpp) freezes everything executed before the
 /// current event as released work (core/release_dates frozen-prefix
 /// semantics: work-preserving malleability makes executed volume the whole
-/// state) and asks a ReplanPolicy for a fresh *suffix plan* over the live
-/// tasks' remaining volumes.  Policies differ in how much of the running
-/// plan they are willing to tear up:
+/// state) and asks a ReplanPolicy for a fresh plan over the live tasks'
+/// remaining volumes.  A policy that replans at completions only needs to
+/// plan up to the next completion: the clock replans when a plan runs out.
+/// Policies differ in how much of the running plan they are willing to tear
+/// up:
 ///
 /// * greedy-append — never preempts: each arrival is greedily placed
 ///   (Algorithm 3 placement, starting at its arrival time) on top of the
@@ -16,17 +18,18 @@
 ///   commitment-friendly strawman.
 /// * wsew-replan — full preemptive re-plan: live tasks are re-ordered by
 ///   weighted-shortest-estimated-work (w_i / remaining_i, the admission
-///   ordering of the service layer) and the suffix is rebuilt as the greedy
-///   schedule of that order, normalized by Water-Filling (Algorithm 2) into
-///   the paper's column normal form.
-/// * wdeq-replan — equipartition re-plan: the suffix is a fresh WDEQ run
-///   (Algorithm 1) over the remaining subinstance.  Non-clairvoyant in
-///   spirit; inherits Theorem 4's 2-approximation on the t = 0 trace.
+///   ordering of the service layer); the greedy completions of that order
+///   are normalized by Water-Filling (Algorithm 2) into the paper's column
+///   normal form, and the plan is its first non-empty column.
+/// * wdeq-replan — equipartition re-plan: WDEQ (Algorithm 1) is memoryless,
+///   so the plan is one share vector over the live set, held until the
+///   first completion.  Non-clairvoyant in spirit; inherits Theorem 4's
+///   2-approximation on the t = 0 trace.
 /// * exact-replan — calls the branch-and-bound exact solver on the live
 ///   remaining subinstance when it is small enough, under a CancelToken
 ///   time budget (a fired budget still yields the B&B incumbent, a valid
-///   plan); falls back to the WSEW re-plan beyond the size guard.  On the
-///   all-arrivals-at-t=0 trace this reproduces the offline optimum
+///   plan); falls back to the full WSEW normal form beyond the size guard.
+///   On the all-arrivals-at-t=0 trace this reproduces the offline optimum
 ///   bit-for-bit (CI-gated).
 ///
 /// Policies may be stateful across events of ONE replay (greedy-append
@@ -57,10 +60,14 @@ struct ReplanContext {
   core::CancelToken cancel;
 };
 
-/// A replanning policy: returns the suffix plan for the live tasks.  The
-/// returned StepSchedule must start at ctx.now, be contiguous, respect rate
-/// caps, and process exactly the remaining volume of every live task (and
-/// nothing for anyone else).
+/// A replanning policy: returns the plan for the live tasks from ctx.now on.
+/// The returned StepSchedule must start at ctx.now, be contiguous, respect
+/// rate caps and run nobody but live tasks (a task stops the instant its
+/// remaining volume is done).  A policy that does not replan at completions
+/// must process the remaining volume of every live task (a full suffix
+/// plan).  A policy that does may stop its plan early — typically at the
+/// end of its first step that ends at a completion; when the plan runs out
+/// with work left, the clock simply asks again.
 class ReplanPolicy {
  public:
   virtual ~ReplanPolicy() = default;
@@ -68,7 +75,8 @@ class ReplanPolicy {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// True when the policy wants to be re-invoked at completion events too
-  /// (arrival events always replan).  Policies whose plan is already final
+  /// (arrival events always replan), and may then return plans that stop
+  /// short of the last completion.  Policies whose plan is already final
   /// for the live set — greedy-append's committed pieces, exact-replan's
   /// optimal suffix — return false, which both saves work and keeps their
   /// executed schedule bit-stable.
@@ -81,15 +89,16 @@ class ReplanPolicy {
 /// No-preempt greedy append (see file comment).
 [[nodiscard]] std::unique_ptr<ReplanPolicy> make_greedy_append_policy();
 
-/// Full WSEW re-plan via greedy + Water-Filling normal form.
+/// WSEW re-plan via greedy + Water-Filling normal form, up to the first
+/// completion.
 [[nodiscard]] std::unique_ptr<ReplanPolicy> make_wsew_replan_policy();
 
-/// Equipartition re-plan: fresh WDEQ run over the remaining subinstance.
+/// Equipartition re-plan: one WDEQ share vector, up to the first completion.
 [[nodiscard]] std::unique_ptr<ReplanPolicy> make_wdeq_replan_policy();
 
 struct ExactReplanOptions {
-  /// Live-set size beyond which the policy falls back to the WSEW re-plan
-  /// (branch-and-bound is exponential; see core/bnb.hpp).
+  /// Live-set size beyond which the policy falls back to the full WSEW
+  /// normal form (branch-and-bound is exponential; see core/bnb.hpp).
   std::size_t max_exact_tasks = 12;
   /// Wall-clock budget per replan, enforced with a deadline CancelToken; a
   /// fired budget keeps the B&B incumbent (a feasible order), so the plan

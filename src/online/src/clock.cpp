@@ -66,10 +66,11 @@ ReplayResult replay(const ArrivalTrace& trace, ReplanPolicy& policy,
   };
 
   // Each loop iteration admits arrivals, replans, or advances time to the
-  // next event; a policy that never makes progress would spin, so bound the
-  // iteration count well above any legitimate replay (each of the n tasks
-  // contributes one arrival and one completion, each triggering at most one
-  // replan plus one plan walk).
+  // next event or to the end of the plan; a policy that never makes
+  // progress would spin, so bound the iteration count well above any
+  // legitimate replay (each of the n tasks contributes one arrival and one
+  // completion, each triggering at most one replan plus one plan walk, and
+  // a plan that stops at the next completion adds one walk per event).
   const std::size_t max_iterations = 32 * n + 64;
   std::size_t iterations = 0;
 
@@ -198,9 +199,9 @@ ReplayResult replay(const ArrivalTrace& trace, ReplanPolicy& policy,
       continue;  // admit the due arrivals at the top of the loop
     }
     if (plan_pos >= plan.steps().size() && alive_count > 0) {
-      // Plan exhausted with work left — only a policy bug gets here, but
-      // give it one more chance to produce a finishing plan (the iteration
-      // guard stops a true runaway).
+      // Plan exhausted with work left: a policy that replans at completions
+      // may plan only that far (replan.hpp), so ask it again.  The
+      // iteration guard stops a policy that never finishes anything.
       need_replan = true;
     }
   }

@@ -1,7 +1,9 @@
 #include "malsched/online/replan.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "malsched/core/bnb.hpp"
@@ -9,6 +11,7 @@
 #include "malsched/core/water_filling.hpp"
 #include "malsched/core/wdeq.hpp"
 #include "malsched/support/contracts.hpp"
+#include "malsched/support/float_compare.hpp"
 
 namespace malsched::online {
 
@@ -79,22 +82,82 @@ std::vector<std::size_t> wsew_order(const LiveView& view) {
   return order;
 }
 
-/// Greedy-in-WSEW-order suffix, normalized by Water-Filling into the column
-/// normal form (Theorem 8 guarantees normalization succeeds for any
+/// Completion time of every task of `instance` when greedily placed in
+/// `order`, straight from CapacityProfile::place.  The rule is
+/// StepSchedule::completions' on greedy_schedule(instance, order): the end
+/// of the task's last positive-length piece whose rate exceeds tol.abs, so
+/// the doubles match that schedule's completions() without building it.
+std::vector<double> greedy_completions(const core::Instance& instance,
+                                       std::span<const std::size_t> order) {
+  const support::Tolerance tol;
+  core::CapacityProfile profile(instance.processors());
+  std::vector<core::ProfilePiece> pieces;
+  std::vector<double> completions(instance.size(), 0.0);
+  for (const std::size_t task : order) {
+    profile.place(instance.effective_width(task), instance.task(task).volume,
+                  &pieces);
+    for (std::size_t k = pieces.size(); k-- > 0;) {
+      if (pieces[k].rate > tol.abs && pieces[k].end > pieces[k].begin) {
+        completions[task] = pieces[k].end;
+        break;
+      }
+    }
+  }
+  return completions;
+}
+
+/// The first non-empty column of a normal form as a one-step plan from
+/// `now`, widened to the trace's task ids.  The column ends at a
+/// completion, so the clock replans there.
+core::StepSchedule lift_first_column(const core::ColumnSchedule& schedule,
+                                     const std::vector<std::size_t>& ids,
+                                     std::size_t num_tasks, double now) {
+  for (std::size_t j = 0; j < schedule.num_columns(); ++j) {
+    const double end = schedule.column_end(j);
+    if (end <= 0.0) {
+      continue;  // zero-length column (completion tie)
+    }
+    core::Step step;
+    step.begin = now;
+    step.end = now + end;
+    step.rates.assign(num_tasks, 0.0);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      step.rates[ids[k]] = schedule.allocation(k, j);
+    }
+    std::vector<core::Step> steps;
+    steps.push_back(std::move(step));
+    return core::StepSchedule(num_tasks, std::move(steps));
+  }
+  return core::StepSchedule(num_tasks, {});
+}
+
+/// How much of the WSEW normal form a plan carries.
+enum class PlanExtent {
+  FirstColumn,  ///< up to the first completion (the clock replans there)
+  FullSuffix,   ///< every column (for policies that do not replan then)
+};
+
+/// Greedy-in-WSEW-order completions, normalized by Water-Filling into the
+/// column normal form (Theorem 8 guarantees normalization succeeds for any
 /// completion vector the greedy schedule achieves).
-core::StepSchedule wsew_plan(const ReplanContext& ctx) {
+core::StepSchedule wsew_plan(const ReplanContext& ctx, PlanExtent extent) {
   const LiveView view = live_view(ctx);
+  const std::size_t n = ctx.instance->size();
   if (view.sub.size() == 0) {
-    return core::StepSchedule(ctx.instance->size(), {});
+    return core::StepSchedule(n, {});
   }
   const auto order = wsew_order(view);
-  const auto greedy = core::greedy_schedule(view.sub, order);
-  const auto completions = greedy.completions();
+  const auto completions = greedy_completions(view.sub, order);
   const auto normal = core::water_fill(view.sub, completions);
-  const core::StepSchedule sub_steps = normal.feasible
-                                           ? core::to_steps(normal.schedule)
-                                           : greedy;  // defensive fallback
-  return lift_plan(sub_steps, view.ids, ctx.instance->size(), ctx.now);
+  if (!normal.feasible) {
+    // Defensive fallback: the greedy schedule itself, in full.
+    return lift_plan(core::greedy_schedule(view.sub, order), view.ids, n,
+                     ctx.now);
+  }
+  if (extent == PlanExtent::FirstColumn) {
+    return lift_first_column(normal.schedule, view.ids, n, ctx.now);
+  }
+  return lift_plan(core::to_steps(normal.schedule), view.ids, n, ctx.now);
 }
 
 class GreedyAppendPolicy final : public ReplanPolicy {
@@ -265,7 +328,7 @@ class WsewReplanPolicy final : public ReplanPolicy {
   [[nodiscard]] std::string name() const override { return "wsew-replan"; }
 
   [[nodiscard]] core::StepSchedule replan(const ReplanContext& ctx) override {
-    return wsew_plan(ctx);
+    return wsew_plan(ctx, PlanExtent::FirstColumn);
   }
 };
 
@@ -273,14 +336,48 @@ class WdeqReplanPolicy final : public ReplanPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "wdeq-replan"; }
 
+  /// WDEQ is memoryless (Algorithm 1 reads only the alive set), so the plan
+  /// up to the next completion is one share vector: the first step of
+  /// run_wdeq over the remaining subinstance, with run_wdeq's rules (alive
+  /// means remaining > tol.abs; the step lasts min remaining / share).
   [[nodiscard]] core::StepSchedule replan(const ReplanContext& ctx) override {
-    const LiveView view = live_view(ctx);
-    if (view.sub.size() == 0) {
-      return core::StepSchedule(ctx.instance->size(), {});
+    const std::size_t n = ctx.instance->size();
+    const support::Tolerance tol;
+    weights_.resize(n);
+    widths_.resize(n);
+    alive_.resize(n);
+    bool any_alive = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      weights_[i] = ctx.instance->task(i).weight;
+      widths_[i] = ctx.instance->effective_width(i);
+      alive_[i] = ctx.live[i] != 0 && ctx.remaining[i] > tol.abs ? 1 : 0;
+      any_alive = any_alive || alive_[i] != 0;
     }
-    const auto run = core::run_wdeq(view.sub);
-    return lift_plan(run.schedule, view.ids, ctx.instance->size(), ctx.now);
+    if (!any_alive) {
+      return core::StepSchedule(n, {});
+    }
+    core::Step step;
+    step.rates = core::wdeq_shares(
+        ctx.instance->processors(), weights_, widths_,
+        std::span<const std::uint8_t>(alive_));
+    double dt = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (alive_[i] != 0) {
+        MALSCHED_ASSERT(step.rates[i] > 0.0);
+        dt = std::min(dt, ctx.remaining[i] / step.rates[i]);
+      }
+    }
+    step.begin = ctx.now;
+    step.end = ctx.now + dt;
+    std::vector<core::Step> steps;
+    steps.push_back(std::move(step));
+    return core::StepSchedule(n, std::move(steps));
   }
+
+ private:
+  std::vector<double> weights_;
+  std::vector<double> widths_;
+  std::vector<std::uint8_t> alive_;
 };
 
 class ExactReplanPolicy final : public ReplanPolicy {
@@ -297,7 +394,9 @@ class ExactReplanPolicy final : public ReplanPolicy {
       return core::StepSchedule(ctx.instance->size(), {});
     }
     if (view.sub.size() > options_.max_exact_tasks) {
-      return wsew_plan(ctx);
+      // This policy does not replan at completions, so the fallback plan
+      // must run to the end of the live set.
+      return wsew_plan(ctx, PlanExtent::FullSuffix);
     }
     core::BnbOptions bnb;
     bnb.want_schedule = true;

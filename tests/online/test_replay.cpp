@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "malsched/core/bnb.hpp"
 #include "malsched/core/wdeq.hpp"
 #include "malsched/online/baseline.hpp"
 #include "malsched/online/replan.hpp"
+#include "malsched/online/trace.hpp"
 #include "malsched/support/rng.hpp"
+#include "oracle/full_plan_policies.hpp"
 
 namespace mo = malsched::online;
 namespace mc = malsched::core;
@@ -215,6 +218,9 @@ TEST(Replay, ExactReplanFallsBackBeyondSizeGuard) {
   // policy's plans are WSEW plans.
   EXPECT_NEAR(run_exact.weighted_completion, run_wsew.weighted_completion,
               1e-9);
+  // exact-replan does not replan at completions, so one arrival batch is
+  // one replan: the fallback plan must carry the whole suffix.
+  EXPECT_EQ(run_exact.replans, 1u);
 }
 
 // Replays are deterministic: same trace, fresh policy, identical doubles.
@@ -227,5 +233,109 @@ TEST(Replay, DeterministicAcrossRuns) {
     const auto run_b = mo::replay(trace, *b[which]);
     EXPECT_EQ(run_a.weighted_completion, run_b.weighted_completion);
     EXPECT_EQ(run_a.completions, run_b.completions);
+  }
+}
+
+namespace {
+
+/// Plans fixed 0.25-long steps of WDEQ shares, ignoring where completions
+/// fall: a plan that may end before, at or after any completion.
+class QuarterStepPolicy final : public mo::ReplanPolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "quarter-step"; }
+
+  [[nodiscard]] mc::StepSchedule replan(const mo::ReplanContext& ctx) override {
+    const std::size_t n = ctx.instance->size();
+    std::vector<double> weights(n);
+    std::vector<double> widths(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      weights[i] = ctx.instance->task(i).weight;
+      widths[i] = ctx.instance->effective_width(i);
+    }
+    mc::Step step;
+    step.begin = ctx.now;
+    step.end = ctx.now + 0.25;
+    step.rates = mc::wdeq_shares(ctx.instance->processors(), weights, widths,
+                                 ctx.live);
+    std::vector<mc::Step> steps;
+    steps.push_back(std::move(step));
+    return mc::StepSchedule(n, std::move(steps));
+  }
+};
+
+}  // namespace
+
+// A plan may stop before the next completion: the clock replans when it
+// runs out, within its iteration guard, and the executed schedule is still
+// a feasible schedule of the whole trace.
+TEST(Replay, ShortPlansReplanWhenTheyRunOut) {
+  const auto trace = staggered_trace();
+  QuarterStepPolicy policy;
+  const auto run = mo::replay(trace, policy);
+  const auto validation = run.schedule.validate(trace.to_instance());
+  EXPECT_TRUE(static_cast<bool>(validation)) << validation.message;
+  // Every step the clock executed ends at a quarter, an arrival or a
+  // completion; the plans that ran out add replans beyond the events.
+  EXPECT_GT(run.replans, run.events);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_GT(run.completions[i], trace.arrival(i).time);
+  }
+}
+
+namespace {
+
+void expect_same_replay(const mo::ReplayResult& got,
+                        const mo::ReplayResult& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.weighted_completion, want.weighted_completion) << where;
+  EXPECT_EQ(got.completions, want.completions) << where;
+  EXPECT_EQ(got.replans, want.replans) << where;
+  EXPECT_EQ(got.events, want.events) << where;
+}
+
+}  // namespace
+
+// wsew-replan and wdeq-replan plan only up to the next completion, and
+// exact-replan's fallback beyond its size guard plans the full WSEW normal
+// form.  All three replay bit for bit like the full-suffix planners of
+// tests/oracle/full_plan_policies.hpp: objective, completions, replans and
+// events.
+TEST(Replay, PrefixPlansMatchFullPlanOracle) {
+  for (const mo::TraceFamily family : mo::all_trace_families()) {
+    for (const std::size_t n : {8u, 30u, 60u, 120u}) {
+      for (const double processors : {4.0, 8.0}) {
+        for (const std::uint64_t seed : {1ull, 7ull, 2026ull}) {
+          mo::TraceConfig config;
+          config.family = family;
+          config.num_tasks = n;
+          config.processors = processors;
+          ms::Rng rng(seed * 1000 + n);
+          const auto trace = mo::generate_trace(config, rng);
+          const std::string where =
+              std::string(mo::trace_family_name(family)) +
+              " n=" + std::to_string(n) + " P=" + std::to_string(processors) +
+              " seed=" + std::to_string(seed);
+
+          auto wsew = mo::make_wsew_replan_policy();
+          malsched::testing::FullPlanWsewPolicy wsew_oracle;
+          expect_same_replay(mo::replay(trace, *wsew),
+                             mo::replay(trace, wsew_oracle), where + " wsew");
+
+          auto wdeq = mo::make_wdeq_replan_policy();
+          malsched::testing::FullPlanWdeqPolicy wdeq_oracle;
+          expect_same_replay(mo::replay(trace, *wdeq),
+                             mo::replay(trace, wdeq_oracle), where + " wdeq");
+
+          mo::ExactReplanOptions options;
+          options.max_exact_tasks = 0;  // always the WSEW fallback
+          auto exact = mo::make_exact_replan_policy(options);
+          malsched::testing::FullPlanWsewPolicy fallback_oracle(
+              /*replan_on_completion=*/false);
+          expect_same_replay(mo::replay(trace, *exact),
+                             mo::replay(trace, fallback_oracle),
+                             where + " exact fallback");
+        }
+      }
+    }
   }
 }
