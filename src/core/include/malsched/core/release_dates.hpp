@@ -62,27 +62,6 @@ struct ReleasedLmaxResult {
 [[nodiscard]] double released_makespan_lower_bound(
     const Instance& instance, std::span<const double> release);
 
-/// --- Frozen-prefix replan support (the online layer's state transition) ---
-///
-/// An online replan at time t freezes everything executed before t and
-/// re-solves the suffix as a fresh MWCT problem over *remaining* volumes:
-/// work-preserving malleability (Definition 1) makes the executed volume the
-/// complete state of a task, so the suffix subinstance is just I[V - done].
-
-/// Subinstance of the remaining work: volumes become V_i - executed[i],
-/// clamped to [0, V_i] (executed amounts beyond V_i — tolerance residue from
-/// a simulation — count as complete).  Widths and weights are unchanged.
-[[nodiscard]] Instance remaining_instance(const Instance& instance,
-                                          std::span<const double> executed);
-
-/// Concatenates a frozen prefix (steps covering [0, t)) with a re-planned
-/// suffix (steps covering [t, ...)).  The suffix must start where the prefix
-/// ends (within tol); both must agree on the task count.  Empty prefixes
-/// and/or suffixes are fine.
-[[nodiscard]] StepSchedule splice_frozen_prefix(const StepSchedule& prefix,
-                                                const StepSchedule& suffix,
-                                                support::Tolerance tol = {});
-
 /// Certified lower bound on min Σ w_i C_i when task i is only available
 /// from release[i] on:
 ///   max( A(I),  H(I),  Σ_i w_i · (r_i + V_i/δ_i_eff) )

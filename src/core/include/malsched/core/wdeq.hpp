@@ -47,8 +47,10 @@ struct WdeqRun {
   std::vector<double> limited_volume;
 };
 
-/// Simulates WDEQ to completion.  Non-clairvoyant: the policy itself never
-/// reads volumes; the simulation uses them only to locate completion events.
+/// Simulates WDEQ to completion on the fluid loop (fluid.hpp), with
+/// wdeq_shares as the rate callback.  Non-clairvoyant: the policy itself
+/// never reads volumes; the simulation uses them only to locate completion
+/// events.
 [[nodiscard]] WdeqRun run_wdeq(const Instance& instance,
                                support::Tolerance tol = {});
 

@@ -230,47 +230,6 @@ ReleasedMakespanResult released_optimal_makespan(
   return result;
 }
 
-Instance remaining_instance(const Instance& instance,
-                            std::span<const double> executed) {
-  MALSCHED_EXPECTS(executed.size() == instance.size());
-  std::vector<double> remaining(instance.size());
-  for (std::size_t i = 0; i < instance.size(); ++i) {
-    remaining[i] =
-        std::clamp(instance.task(i).volume - executed[i], 0.0,
-                   instance.task(i).volume);
-  }
-  return instance.with_volumes(remaining);
-}
-
-StepSchedule splice_frozen_prefix(const StepSchedule& prefix,
-                                  const StepSchedule& suffix,
-                                  support::Tolerance tol) {
-  if (prefix.steps().empty()) {
-    return suffix;
-  }
-  if (suffix.steps().empty()) {
-    return prefix;
-  }
-  MALSCHED_EXPECTS(prefix.num_tasks() == suffix.num_tasks());
-  MALSCHED_EXPECTS_MSG(
-      support::approx_eq(prefix.steps().back().end,
-                         suffix.steps().front().begin, tol),
-      "suffix plan must start where the frozen prefix ends");
-  std::vector<Step> steps(prefix.steps());
-  // Snap the seam so the result passes StepSchedule's contiguity check even
-  // when the replanner re-derived `now` with tolerance-level drift.
-  double cursor = steps.back().end;
-  for (Step step : suffix.steps()) {
-    step.begin = cursor;
-    if (step.end < step.begin) {
-      step.end = step.begin;
-    }
-    cursor = step.end;
-    steps.push_back(std::move(step));
-  }
-  return StepSchedule(prefix.num_tasks(), std::move(steps));
-}
-
 double released_weighted_completion_lower_bound(
     const Instance& instance, std::span<const double> release) {
   MALSCHED_EXPECTS(release.size() == instance.size());

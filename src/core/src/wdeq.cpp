@@ -1,8 +1,6 @@
 #include "malsched/core/wdeq.hpp"
 
-#include <algorithm>
-#include <limits>
-
+#include "malsched/core/fluid.hpp"
 #include "malsched/support/contracts.hpp"
 
 namespace malsched::core {
@@ -66,77 +64,37 @@ std::vector<double> wdeq_shares(double processors,
 
 namespace {
 
-WdeqRun run_weighted(const Instance& instance, std::span<const double> weights,
-                     support::Tolerance tol) {
+/// Algorithm 1 to completion with the given weights, plus the Lemma-2 split
+/// of each task's volume by whether its step ran it pinned at its width.
+WdeqRun run_equipartition(const Instance& instance,
+                          std::span<const double> weights,
+                          support::Tolerance tol) {
   const std::size_t n = instance.size();
   std::vector<double> widths(n);
   for (std::size_t i = 0; i < n; ++i) {
     widths[i] = instance.effective_width(i);
   }
-
-  std::vector<double> remaining(n);
-  std::vector<std::uint8_t> alive(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    remaining[i] = instance.task(i).volume;
-    alive[i] = remaining[i] > tol.abs ? 1 : 0;
-  }
+  auto fluid = run_fluid(
+      instance,
+      [&](std::span<const std::uint8_t> alive, std::span<const double>) {
+        return wdeq_shares(instance.processors(), weights, widths, alive);
+      },
+      {}, tol);
 
   WdeqRun run;
   run.full_volume.assign(n, 0.0);
   run.limited_volume.assign(n, 0.0);
-
-  std::vector<Step> steps;
-  double now = 0.0;
-  for (std::size_t round = 0; round < n + 1; ++round) {
-    if (std::none_of(alive.begin(), alive.end(),
-                     [](std::uint8_t b) { return b != 0; })) {
-      break;
-    }
-    const auto shares =
-        wdeq_shares(instance.processors(), weights, widths,
-                    std::span<const std::uint8_t>(alive));
-
-    // Time until the next completion under these constant rates.
-    double dt = std::numeric_limits<double>::infinity();
+  for (const Step& step : fluid.schedule.steps()) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (alive[i]) {
-        MALSCHED_ASSERT(shares[i] > 0.0);
-        dt = std::min(dt, remaining[i] / shares[i]);
-      }
-    }
-    MALSCHED_ASSERT(std::isfinite(dt));
-
-    Step step;
-    step.begin = now;
-    step.end = now + dt;
-    step.rates.assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!alive[i]) {
-        continue;
-      }
-      step.rates[i] = shares[i];
-      const double processed = shares[i] * dt;
-      // Full allocation means the task runs pinned at its width.
-      if (support::approx_eq(shares[i], widths[i], tol)) {
+      const double processed = step.rates[i] * step.length();
+      if (support::approx_eq(step.rates[i], widths[i], tol)) {
         run.full_volume[i] += processed;
       } else {
         run.limited_volume[i] += processed;
       }
-      remaining[i] -= processed;
-      if (remaining[i] <= tol.slack(instance.task(i).volume)) {
-        remaining[i] = 0.0;
-        alive[i] = 0;
-      }
     }
-    steps.push_back(std::move(step));
-    now += dt;
   }
-  MALSCHED_ENSURES(std::none_of(alive.begin(), alive.end(),
-                                [](std::uint8_t b) { return b != 0; }));
-
-  // Snap tiny volume residue so the schedule validates exactly: adjust the
-  // last step each task appears in.
-  run.schedule = StepSchedule(n, std::move(steps));
+  run.schedule = std::move(fluid.schedule);
   return run;
 }
 
@@ -147,12 +105,12 @@ WdeqRun run_wdeq(const Instance& instance, support::Tolerance tol) {
   for (std::size_t i = 0; i < instance.size(); ++i) {
     weights[i] = instance.task(i).weight;
   }
-  return run_weighted(instance, weights, tol);
+  return run_equipartition(instance, weights, tol);
 }
 
 WdeqRun run_deq(const Instance& instance, support::Tolerance tol) {
   const std::vector<double> weights(instance.size(), 1.0);
-  return run_weighted(instance, weights, tol);
+  return run_equipartition(instance, weights, tol);
 }
 
 }  // namespace malsched::core

@@ -6,8 +6,8 @@
 /// The clock advances from event to event (arrivals and completions).  At
 /// each replan point it hands the policy a snapshot of the live tasks'
 /// remaining volumes (replan.hpp) and then *executes* the returned plan
-/// until the next event: the executed prefix is frozen — released work in
-/// the core/release_dates sense — and only the suffix is ever re-solved.
+/// until the next event: each executed step is committed to the record as
+/// it ran, and only the suffix is ever re-solved.
 /// A plan that runs out while work is left is a replan point too, so
 /// policies that replan at completions plan only up to the next one.
 /// Work never runs before its task arrives, and a task completes the instant

@@ -3,12 +3,12 @@
 /// \file replan.hpp
 /// Replanning policies for online arrivals.
 ///
-/// The replay clock (clock.hpp) freezes everything executed before the
-/// current event as released work (core/release_dates frozen-prefix
-/// semantics: work-preserving malleability makes executed volume the whole
-/// state) and asks a ReplanPolicy for a fresh plan over the live tasks'
-/// remaining volumes.  A policy that replans at completions only needs to
-/// plan up to the next completion: the clock replans when a plan runs out.
+/// The replay clock (clock.hpp) commits everything executed before the
+/// current event to its executed schedule (work-preserving malleability
+/// makes a task's remaining volume its whole state) and asks a ReplanPolicy
+/// for a fresh plan over the live tasks' remaining volumes.  A policy that
+/// replans at completions only needs to plan up to the next completion: the
+/// clock replans when a plan runs out.
 /// Policies differ in how much of the running plan they are willing to tear
 /// up:
 ///
@@ -51,7 +51,8 @@ namespace malsched::online {
 /// task of the trace (arrival order); `remaining` is the unexecuted volume;
 /// `live[i]` is 1 exactly when task i has arrived and still has work left.
 /// Tasks not yet arrived have remaining == full volume but live == 0 — a
-/// policy must plan only for live tasks (the clock validates this).
+/// policy must plan only for live tasks.  The clock does not validate this:
+/// it zeroes the rates of tasks that are not live as it commits each step.
 struct ReplanContext {
   double now = 0.0;
   const core::Instance* instance = nullptr;

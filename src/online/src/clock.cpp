@@ -28,7 +28,6 @@ ReplayResult replay(const ArrivalTrace& trace, ReplanPolicy& policy,
 
   std::vector<double> remaining(n);
   std::vector<std::uint8_t> live(n, 0);
-  std::vector<std::uint8_t> done(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     remaining[i] = instance.task(i).volume;
   }
@@ -86,7 +85,6 @@ ReplayResult replay(const ArrivalTrace& trace, ReplanPolicy& policy,
       ++result.events;
       if (instance.task(i).volume <= 0.0) {
         result.completions[i] = trace.arrival(i).time;
-        done[i] = 1;
         continue;
       }
       live[i] = 1;
@@ -171,7 +169,6 @@ ReplayResult replay(const ArrivalTrace& trace, ReplanPolicy& policy,
             remaining[i] <= tol.slack(instance.task(i).volume)) {
           remaining[i] = 0.0;
           live[i] = 0;
-          done[i] = 1;
           --alive_count;
           result.completions[i] = now;
           ++result.events;

@@ -1,44 +1,25 @@
 #pragma once
 
 /// \file engine.hpp
-/// Fluid event-driven execution engine.  Runs an allocation policy to
-/// completion: rates are recomputed at every task completion (the only
-/// event type in the work-preserving fluid model), producing a
-/// piecewise-constant StepSchedule plus per-event telemetry.
-
-#include <span>
-#include <vector>
+/// Runs an allocation policy (policy.hpp) on core's fluid event loop
+/// (core/fluid.hpp): rates are recomputed at every task completion, the only
+/// event type of an offline instance, producing a piecewise-constant
+/// StepSchedule plus per-event telemetry.  Online arrivals are simulated by
+/// the replay clock (online/clock.hpp), not here.
 
 #include "malsched/core/cancel.hpp"
+#include "malsched/core/fluid.hpp"
 #include "malsched/core/instance.hpp"
-#include "malsched/core/schedule.hpp"
 #include "malsched/sim/policy.hpp"
 
 namespace malsched::sim {
 
-struct EngineResult {
-  core::StepSchedule schedule;
-  /// Completion times indexed by task.
-  std::vector<double> completions;
-  /// Weighted completion Σ w_i C_i.
-  double weighted_completion = 0.0;
-  /// Number of policy invocations (events).
-  std::size_t events = 0;
-  /// True when EngineOptions::cancel fired mid-run; the schedule then stops
-  /// at the last completed event and unfinished tasks report completion 0 —
-  /// a partial trace, not a valid MWCT answer.
-  bool cancelled = false;
-};
+/// Schedule, completions, Σ w_i C_i, event count (policy invocations) and
+/// the cancelled flag of one run (core/fluid.hpp).
+using EngineResult = core::FluidRun;
 
 struct EngineOptions {
   support::Tolerance tol = {};
-  /// Safety valve: abort (contract failure) if the policy stops making
-  /// progress after this many events.  0 means the default 4n + 16: a
-  /// well-behaved run needs at most n completion events plus n arrival
-  /// events plus n idle gaps between arrivals — 4n + 16 leaves a 1n + 16
-  /// margin for tolerance-induced re-shares before declaring the policy
-  /// stuck.  tests/sim/test_engine.cpp pins this budget.
-  std::size_t max_events = 0;
   /// Cooperative cancellation, polled once per event — the abort latency of
   /// an engine-backed solve is therefore one policy invocation (O(n) work),
   /// microseconds in practice.  A default token never fires and the poll is
@@ -48,18 +29,11 @@ struct EngineOptions {
 
 /// Runs `policy` on `instance` until every task completes.  Zero-task
 /// instances are valid input and produce an empty schedule with zero events
-/// (the service layer forwards arbitrary client batches here).
+/// (the service layer forwards arbitrary client batches here).  A policy
+/// that starves every alive task or stops making progress aborts the
+/// process with a diagnostic (core::run_fluid).
 [[nodiscard]] EngineResult run_policy(const core::Instance& instance,
                                       const AllocationPolicy& policy,
                                       const EngineOptions& options = {});
-
-/// Online variant: task i only becomes visible (and schedulable) at
-/// release[i].  The policy is re-invoked at every arrival and completion —
-/// the natural online operation of WDEQ-style policies the paper's
-/// non-clairvoyant setting implies.  With all releases zero this is exactly
-/// run_policy.
-[[nodiscard]] EngineResult run_policy_online(
-    const core::Instance& instance, std::span<const double> release,
-    const AllocationPolicy& policy, const EngineOptions& options = {});
 
 }  // namespace malsched::sim

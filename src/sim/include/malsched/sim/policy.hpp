@@ -26,7 +26,6 @@ struct PolicyContext {
   std::span<const double> weights;
   std::span<const double> widths;       ///< effective widths (δ clamped at P)
   std::span<const std::uint8_t> alive;  ///< 1 = still running
-  double now = 0.0;
   /// Remaining volumes; empty for non-clairvoyant policies.
   std::span<const double> remaining;
 };

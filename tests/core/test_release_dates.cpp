@@ -169,86 +169,15 @@ TEST(ReleaseDates, EmptyWindowDetected) {
   EXPECT_FALSE(mc::released_feasible(inst, release, deadline));
 }
 
-// --- Frozen-prefix replan helpers (the online layer's state transition) ---
-
-TEST(FrozenPrefix, RemainingInstanceClampsExecutedVolume) {
-  const mc::Instance inst(4.0, {{2.0, 2.0, 1.0}, {1.0, 1.0, 0.5}});
-  // Tolerance residue: task 0 "executed" slightly more than its volume;
-  // task 1 got a spurious negative amount.  Both clamp to [0, V].
-  const std::vector<double> executed{2.0 + 1e-12, -1e-12};
-  const auto rest = mc::remaining_instance(inst, executed);
-  EXPECT_EQ(rest.task(0).volume, 0.0);
-  EXPECT_EQ(rest.task(1).volume, 1.0);
-  // Widths, weights and P are untouched — only volumes shrink.
-  EXPECT_EQ(rest.processors(), inst.processors());
-  EXPECT_EQ(rest.task(0).width, inst.task(0).width);
-  EXPECT_EQ(rest.task(0).weight, inst.task(0).weight);
-}
-
-TEST(FrozenPrefix, SpliceHandlesEmptySides) {
-  const mc::StepSchedule empty;
-  mc::StepSchedule plan(1, {{0.0, 1.0, {1.0}}});
-  EXPECT_EQ(mc::splice_frozen_prefix(empty, plan).steps().size(), 1u);
-  EXPECT_EQ(mc::splice_frozen_prefix(plan, empty).steps().size(), 1u);
-  EXPECT_EQ(mc::splice_frozen_prefix(empty, empty).steps().size(), 0u);
-}
-
-TEST(FrozenPrefix, SpliceSnapsToleranceDriftAtSeam) {
-  // The replanner re-derived `now` with tolerance-level drift: the suffix
-  // starts 1e-12 late.  The splice snaps it so contiguity survives.
-  const mc::StepSchedule prefix(1, {{0.0, 1.0, {2.0}}});
-  const mc::StepSchedule suffix(1, {{1.0 + 1e-12, 2.0, {2.0}}});
-  const auto whole = mc::splice_frozen_prefix(prefix, suffix);
-  ASSERT_EQ(whole.steps().size(), 2u);
-  EXPECT_EQ(whole.steps()[1].begin, whole.steps()[0].end);
-  const mc::Instance inst(2.0, {{4.0 + 2e-12, 2.0, 1.0}});
-  EXPECT_TRUE(static_cast<bool>(whole.validate(inst)));
-}
-
-using FrozenPrefixDeathTest = ::testing::Test;
-
-TEST(FrozenPrefixDeathTest, SpliceRejectsSeamGap) {
-  const mc::StepSchedule prefix(1, {{0.0, 1.0, {1.0}}});
-  const mc::StepSchedule gapped(1, {{1.5, 2.0, {1.0}}});
-  EXPECT_DEATH((void)mc::splice_frozen_prefix(prefix, gapped),
-               "suffix plan must start where the frozen prefix ends");
-}
-
-TEST(FrozenPrefix, ArrivalMidSliceFreezesExecutedWork) {
-  // Task 0 runs alone at rate 2 over [0, 2); task 1 arrives at t = 1, mid
-  // slice.  The replan freezes the executed half (volume 2 of 4) and
-  // re-solves the suffix over the remainders.
-  const mc::Instance inst(4.0, {{4.0, 2.0, 1.0}, {2.0, 2.0, 1.0}});
-  const std::vector<double> executed{2.0, 0.0};
-  const auto rest = mc::remaining_instance(inst, executed);
-  EXPECT_EQ(rest.task(0).volume, 2.0);
-  EXPECT_EQ(rest.task(1).volume, 2.0);
-  // A suffix plan over the remainders, shifted to start at the arrival.
-  const mc::StepSchedule prefix(2, {{0.0, 1.0, {2.0, 0.0}}});
-  const mc::StepSchedule suffix(2, {{1.0, 2.0, {2.0, 2.0}}});
-  const auto whole = mc::splice_frozen_prefix(prefix, suffix);
-  const auto check = whole.validate(inst);
-  EXPECT_TRUE(static_cast<bool>(check)) << check.message;
-  // No work for task 1 before its arrival, and volumes conserve end-to-end.
-  EXPECT_EQ(whole.steps()[0].rates[1], 0.0);
-  const auto volumes = whole.volumes();
-  EXPECT_DOUBLE_EQ(volumes[0], 4.0);
-  EXPECT_DOUBLE_EQ(volumes[1], 2.0);
-}
-
 TEST(FrozenPrefix, ZeroVolumeTaskArrivingAfterWorkStarted) {
   // A zero-volume task with a late release contributes exactly w · r to the
-  // ΣwC lower bound (it completes at arrival under the online semantics)
-  // and survives remaining_instance untouched.
+  // ΣwC lower bound: it completes at arrival under the online semantics.
   const mc::Instance inst(2.0, {{1.0, 1.0, 1.0}, {0.0, 1.0, 2.0}});
   const std::vector<double> release{0.0, 3.0};
   const double bound =
       mc::released_weighted_completion_lower_bound(inst, release);
   // release term = 1·(0 + 1/1) + 2·3 = 7, dominating A(I) and H(I).
   EXPECT_DOUBLE_EQ(bound, 7.0);
-  const std::vector<double> executed{0.5, 0.0};
-  const auto rest = mc::remaining_instance(inst, executed);
-  EXPECT_EQ(rest.task(1).volume, 0.0);
 }
 
 TEST(ReleaseDates, WeightedCompletionBoundDegeneratesAtZeroRelease) {

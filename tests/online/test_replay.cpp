@@ -7,6 +7,8 @@
 #include <string>
 
 #include "malsched/core/bnb.hpp"
+#include "malsched/core/generators.hpp"
+#include "malsched/core/release_dates.hpp"
 #include "malsched/core/wdeq.hpp"
 #include "malsched/online/baseline.hpp"
 #include "malsched/online/replan.hpp"
@@ -164,6 +166,48 @@ TEST(Replay, ZeroVolumeTaskCompletesAtArrival) {
     const auto validation = run.schedule.validate(trace.to_instance());
     EXPECT_TRUE(static_cast<bool>(validation))
         << policy->name() << ": " << validation.message;
+  }
+}
+
+// An arrival forces a re-share.  Task 0 runs alone at width 2 until task 1
+// arrives at t = 1; WDEQ then splits 1:1 (equal weights, wide tasks).
+// t in [0, 1]: T0 at rate 2 -> 2 done, 1 left.  t >= 1: each at rate 1, so
+// T1 (V = 1) and T0's last unit both finish at t = 2.
+TEST(Replay, ArrivalTriggersReshare) {
+  std::vector<mo::Arrival> arrivals;
+  arrivals.push_back({0.0, {3.0, 2.0, 1.0}});
+  arrivals.push_back({1.0, {1.0, 2.0, 1.0}});
+  const mo::ArrivalTrace trace(2.0, std::move(arrivals));
+  auto policy = mo::make_wdeq_replan_policy();
+  const auto run = mo::replay(trace, *policy);
+  EXPECT_NEAR(run.completions[0], 2.0, 1e-9);
+  EXPECT_NEAR(run.completions[1], 2.0, 1e-9);
+}
+
+// The replayed makespan is at least the flow-certified optimum with the same
+// release dates (core/release_dates): online cannot beat clairvoyance.
+TEST(Replay, CompletionsNeverBeatTheClairvoyantWindowOptimum) {
+  ms::Rng rng(613);
+  for (int rep = 0; rep < 15; ++rep) {
+    mc::GeneratorConfig gen;
+    gen.family = mc::Family::Uniform;
+    gen.num_tasks = 5;
+    gen.processors = 2.0;
+    const auto inst = mc::generate(gen, rng);
+    std::vector<mo::Arrival> arrivals;
+    for (std::size_t i = 0; i < inst.size(); ++i) {
+      arrivals.push_back({rng.uniform(0.0, 1.0), inst.task(i)});
+    }
+    std::stable_sort(arrivals.begin(), arrivals.end(),
+                     [](const mo::Arrival& a, const mo::Arrival& b) {
+                       return a.time < b.time;
+                     });
+    const mo::ArrivalTrace trace(inst.processors(), std::move(arrivals));
+    auto policy = mo::make_wdeq_replan_policy();
+    const auto run = mo::replay(trace, *policy);
+    const auto optimal = mc::released_optimal_makespan(trace.to_instance(),
+                                                       trace.release_dates());
+    EXPECT_GE(run.makespan, optimal.makespan - 1e-6) << "rep " << rep;
   }
 }
 

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
 
@@ -14,9 +18,23 @@ namespace mc = malsched::core;
 namespace msim = malsched::sim;
 namespace ms = malsched::support;
 
+namespace {
+
+void expect_same_steps(const mc::StepSchedule& a, const mc::StepSchedule& b,
+                       const std::string& label) {
+  ASSERT_EQ(a.steps().size(), b.steps().size()) << label;
+  for (std::size_t k = 0; k < a.steps().size(); ++k) {
+    EXPECT_EQ(a.steps()[k].begin, b.steps()[k].begin) << label << " step " << k;
+    EXPECT_EQ(a.steps()[k].end, b.steps()[k].end) << label << " step " << k;
+    EXPECT_EQ(a.steps()[k].rates, b.steps()[k].rates) << label << " step " << k;
+  }
+}
+
+}  // namespace
+
 TEST(Engine, WdeqPolicyMatchesCoreWdeq) {
-  // The generic engine running the WDEQ policy must reproduce core's
-  // dedicated WDEQ simulation exactly.
+  // The generic engine running the WDEQ (DEQ) policy must reproduce core's
+  // WDEQ (DEQ) simulation bit for bit: steps and completions alike.
   ms::Rng rng(211);
   for (int rep = 0; rep < 20; ++rep) {
     mc::GeneratorConfig config;
@@ -24,13 +42,19 @@ TEST(Engine, WdeqPolicyMatchesCoreWdeq) {
     config.num_tasks = 6;
     config.processors = 3.0;
     const auto inst = mc::generate(config, rng);
+    const std::string label = "rep " + std::to_string(rep);
+
     const auto engine = msim::run_policy(inst, *msim::make_wdeq_policy());
     const auto direct = mc::run_wdeq(inst);
-    const auto direct_completions = direct.schedule.completions();
-    for (std::size_t i = 0; i < inst.size(); ++i) {
-      EXPECT_NEAR(engine.completions[i], direct_completions[i], 1e-9)
-          << "rep " << rep << " task " << i;
-    }
+    expect_same_steps(engine.schedule, direct.schedule, "wdeq " + label);
+    EXPECT_EQ(engine.completions, direct.schedule.completions()) << label;
+
+    const auto engine_deq = msim::run_policy(inst, *msim::make_deq_policy());
+    const auto direct_deq = mc::run_deq(inst);
+    expect_same_steps(engine_deq.schedule, direct_deq.schedule,
+                      "deq " + label);
+    EXPECT_EQ(engine_deq.completions, direct_deq.schedule.completions())
+        << label;
   }
 }
 
@@ -114,18 +138,9 @@ TEST(Engine, EmptyInstanceProducesEmptyResult) {
   }
 }
 
-TEST(Engine, EmptyInstanceOnlineVariant) {
-  const mc::Instance empty(2.0, {});
-  const auto result = msim::run_policy_online(empty, {},
-                                              *msim::make_wdeq_policy());
-  EXPECT_EQ(result.events, 0u);
-  EXPECT_TRUE(result.completions.empty());
-}
-
 TEST(Engine, EventCountStaysWithinDefaultMaxEvents) {
-  // EngineOptions documents the default budget max_events = 4n + 16; verify
-  // every built-in policy fits it with margin across families and the
-  // online arrival path (arrivals add events beyond the offline n + 1).
+  // core::run_fluid aborts a run that needs more than 4n + 16 events; every
+  // built-in policy must fit that guard with margin across families.
   ms::Rng rng(229);
   for (const auto& policy : msim::all_policies()) {
     for (const auto family :
@@ -138,16 +153,8 @@ TEST(Engine, EventCountStaysWithinDefaultMaxEvents) {
         config.processors = 4.0;
         const auto inst = mc::generate(config, rng);
 
-        const auto offline = msim::run_policy(inst, *policy);
-        EXPECT_LE(offline.events, 4 * inst.size() + 16) << policy->name();
-
-        std::vector<double> release(inst.size());
-        for (std::size_t i = 0; i < release.size(); ++i) {
-          release[i] = rng.uniform(0.0, 2.0);
-        }
-        const auto online =
-            msim::run_policy_online(inst, release, *policy);
-        EXPECT_LE(online.events, 4 * inst.size() + 16) << policy->name();
+        const auto result = msim::run_policy(inst, *policy);
+        EXPECT_LE(result.events, 4 * inst.size() + 16) << policy->name();
       }
     }
   }
@@ -166,29 +173,6 @@ TEST(EngineDeathTest, StarvingPolicyTripsTheSafetyValve) {
   };
   const mc::Instance inst(2.0, {{1.0, 1.0, 1.0}});
   EXPECT_DEATH((void)msim::run_policy(inst, StarvingPolicy()), "starves");
-}
-
-TEST(EngineDeathTest, ExplicitMaxEventsIsAHardCap) {
-  // max_events is documented as the exact abort threshold: a 2-task run
-  // needs 2 events, so a budget of 1 must trip the valve.
-  const mc::Instance inst(2.0, {{2.0, 2.0, 1.0}, {1.0, 1.0, 1.0}});
-  msim::EngineOptions options;
-  options.max_events = 1;
-  EXPECT_DEATH(
-      (void)msim::run_policy(inst, *msim::make_wdeq_policy(), options),
-      "stopped making progress");
-}
-
-TEST(Engine, ExplicitMaxEventsOverrideIsAccepted) {
-  // A generous explicit budget must not change results.
-  const mc::Instance inst(2.0, {{2.0, 2.0, 1.0}, {1.0, 1.0, 1.0}});
-  msim::EngineOptions options;
-  options.max_events = 1000;
-  const auto result =
-      msim::run_policy(inst, *msim::make_wdeq_policy(), options);
-  const auto default_result = msim::run_policy(inst, *msim::make_wdeq_policy());
-  EXPECT_EQ(result.weighted_completion, default_result.weighted_completion);
-  EXPECT_EQ(result.events, default_result.events);
 }
 
 TEST(Engine, PreCancelledTokenAbortsBeforeTheFirstEvent) {
@@ -235,4 +219,93 @@ TEST(Engine, PolicyNamesAreDistinct) {
     names.insert(policy->name());
   }
   EXPECT_EQ(names.size(), 5u);
+}
+
+namespace {
+
+std::uint64_t fnv1a_double(std::uint64_t h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (int b = 0; b < 8; ++b) {
+    h ^= (bits >> (8 * b)) & 0xffu;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::uint64_t fluid_hash(std::uint64_t h, const mc::StepSchedule& schedule,
+                         const std::vector<double>& completions) {
+  h = fnv1a_double(h, static_cast<double>(schedule.steps().size()));
+  for (const auto& step : schedule.steps()) {
+    h = fnv1a_double(h, step.begin);
+    h = fnv1a_double(h, step.end);
+    for (const double rate : step.rates) {
+      h = fnv1a_double(h, rate);
+    }
+  }
+  for (const double c : completions) {
+    h = fnv1a_double(h, c);
+  }
+  return h;
+}
+
+std::uint64_t sweep_hash(
+    const std::function<std::uint64_t(std::uint64_t, const mc::Instance&)>&
+        run) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const auto family : {mc::Family::Uniform, mc::Family::BandwidthLike,
+                            mc::Family::HeavyTailVolumes}) {
+    ms::Rng rng(20120521);
+    for (std::size_t n = 2; n <= 35; n += 3) {
+      mc::GeneratorConfig config;
+      config.family = family;
+      config.num_tasks = n;
+      config.processors = 4.0;
+      h = run(h, mc::generate(config, rng));
+    }
+  }
+  return h;
+}
+
+}  // namespace
+
+// Pins the exact steps and completions of every fluid simulation — core's
+// run_wdeq / run_deq and the engine under each built-in policy — on a seeded
+// sweep over three generator families (n = 2..35, P = 4).  Any change to the
+// event loop that moves a single bit fails here; a deliberate change to the
+// simulated schedules must update the constants.  The WDEQ and DEQ policies
+// hash equal to run_wdeq and run_deq: the same simulation.
+TEST(FluidGoldenHash, SeedStableOutputs) {
+  const std::uint64_t wdeq_hash = 0x8d7f45a6ef7d5defULL;
+  const std::uint64_t deq_hash = 0x349f61133985488aULL;
+  EXPECT_EQ(sweep_hash([](std::uint64_t h, const mc::Instance& inst) {
+              const auto run = mc::run_wdeq(inst);
+              return fluid_hash(h, run.schedule, run.schedule.completions());
+            }),
+            wdeq_hash);
+  EXPECT_EQ(sweep_hash([](std::uint64_t h, const mc::Instance& inst) {
+              const auto run = mc::run_deq(inst);
+              return fluid_hash(h, run.schedule, run.schedule.completions());
+            }),
+            deq_hash);
+
+  const std::map<std::string, std::uint64_t> golden = {
+      {"wdeq", wdeq_hash},
+      {"deq", deq_hash},
+      {"wrr", 0x145b368962010a18ULL},
+      {"fifo-rigid", 0x54973288b6b1238bULL},
+      {"smith-greedy", 0x101681c78055a355ULL},
+  };
+  const auto policies = msim::all_policies();
+  EXPECT_EQ(golden.size(), policies.size());
+  for (const auto& policy : policies) {
+    const auto h = sweep_hash([&](std::uint64_t acc, const mc::Instance& inst) {
+      const auto run = msim::run_policy(inst, *policy);
+      return fluid_hash(acc, run.schedule, run.completions);
+    });
+    ASSERT_EQ(golden.count(policy->name()), 1u) << policy->name();
+    EXPECT_EQ(h, golden.at(policy->name()))
+        << policy->name() << ": simulated schedules changed (got 0x"
+        << std::hex << h << ")";
+  }
 }
